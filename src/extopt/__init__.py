@@ -10,29 +10,8 @@ and a verification harness for the construction's open regime.
 
 __version__ = "0.1.0"
 
-from .combinatorial import (
-    DeltaCertificate,
-    GapProfile,
-    a_value,
-    build_gamma_member,
-    delta_search,
-    enumerate_gamma,
-    h,
-    middle_points,
-    phi,
-    solve_combinatorial,
-)
-from .continuous import (
-    DuoSolution,
-    TauPair,
-    build_duo,
-    canonical_gap_profiles,
-    closed_form_objective,
-    satisfies_interleaving,
-    solve_continuous,
-    solve_continuous_integer,
-    tau,
-)
+from .combinatorial import DeltaCertificate, enumerate_gamma, solve_combinatorial
+from .continuous import DuoSolution, TauPair, solve_continuous, solve_continuous_integer
 from .errors import (
     ConstructionError,
     ExtoptError,
@@ -41,30 +20,14 @@ from .errors import (
     TrivialRegimeError,
     ValidationError,
 )
-from .model import (
-    Instance,
-    QueueParams,
-    as_rational,
-    eval_f,
-    eval_f_row,
-    externality_mean,
-    externality_variance,
-    is_in_lambda,
-    is_in_upsilon,
-    service_vector,
-    strict_pair_sum,
-    supremum_vector,
-)
+from .model import Instance, QueueParams, eval_f, externality_mean, externality_variance
 from .oracle import (
     SubgradientConfig,
     SubgradientResult,
     VerifyReport,
     brute_force_combinatorial,
-    duo_lattice_resolution,
     grid_search,
-    project_to_simplex,
     projected_subgradient,
-    subgradient,
     verify_conjecture,
 )
 from .report import (
@@ -84,7 +47,6 @@ __all__ = [
     "DeltaCertificate",
     "DuoSolution",
     "ExtoptError",
-    "GapProfile",
     "INCONCLUSIVE",
     "Instance",
     "PROVEN",
@@ -99,36 +61,15 @@ __all__ = [
     "VIOLATED",
     "ValidationError",
     "VerifyReport",
-    "a_value",
-    "as_rational",
     "brute_force_combinatorial",
-    "build_duo",
-    "build_gamma_member",
-    "canonical_gap_profiles",
-    "closed_form_objective",
-    "delta_search",
-    "duo_lattice_resolution",
     "enumerate_gamma",
     "eval_f",
-    "eval_f_row",
     "externality_mean",
     "externality_variance",
     "grid_search",
-    "h",
-    "is_in_lambda",
-    "is_in_upsilon",
-    "middle_points",
-    "phi",
-    "project_to_simplex",
     "projected_subgradient",
-    "satisfies_interleaving",
-    "service_vector",
     "solve_combinatorial",
     "solve_continuous",
     "solve_continuous_integer",
-    "strict_pair_sum",
-    "subgradient",
-    "supremum_vector",
-    "tau",
     "verify_conjecture",
 ]

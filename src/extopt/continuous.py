@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .combinatorial import build_gamma_member
 from .errors import ConstructionError, ValidationError
@@ -122,58 +123,49 @@ def satisfies_interleaving(gaps_y: tuple[int, ...], gaps_r: tuple[int, ...]) -> 
 
 
 def _arrange_y_gaps(
-    n: int, m: int, dy: int, ny: int, r_positions: tuple[int, ...], strict: bool
+    m: int, dy: int, ny: int, r_positions: tuple[int, ...], strict: bool
 ) -> tuple[int, ...] | None:
     """Lexicographically smallest arrangement of the y-gap multiset whose mass
     positions fall (strictly, if requested) between consecutive r-layer
-    positions.  Returns None when no arrangement fits."""
+    positions.  Returns None when no arrangement fits.
+
+    A state is the number of short gaps among the first ``level`` gaps.  A
+    forward pass collects the reachable states per level, a backward pass
+    keeps those that can still finish with ny short gaps, and the walk takes
+    the short gap whenever it stays on a kept state.
+    """
     total_slots = m + 1
-    memo: dict[tuple[int, int], bool] = {}
 
-    def position_ok(level: int, pos: int) -> bool:
-        # level is 1-based; only the first m cumulative sums carry a mass
-        if level > m:
-            return True
-        lo, hi = r_positions[level - 1], r_positions[level]
-        if strict:
-            return lo < pos < hi
-        return lo <= pos <= hi
-
-    def feasible(level: int, smalls: int) -> bool:
-        if (level, smalls) in memo:
-            return memo[(level, smalls)]
-        if level == total_slots:
-            out = smalls == ny
-        else:
-            pos_base = smalls * dy + (level - smalls) * (dy + 1)
-            out = False
-            for g, used in ((dy, smalls + 1), (dy + 1, smalls)):
-                if used > ny or (level + 1 - used) > total_slots - ny:
-                    continue
+    def steps(level: int, smalls: int) -> Iterator[tuple[int, int]]:
+        # admissible next gaps, short first, with the short-gap count after each
+        pos_base = smalls * dy + (level - smalls) * (dy + 1)
+        for g, used in ((dy, smalls + 1), (dy + 1, smalls)):
+            if used > ny or (level + 1 - used) > total_slots - ny:
+                continue
+            # only the first m cumulative sums carry a mass
+            if level < m:
+                lo, hi = r_positions[level], r_positions[level + 1]
                 pos = pos_base + g
-                if position_ok(level + 1, pos) and feasible(level + 1, used):
-                    out = True
-                    break
-        memo[(level, smalls)] = out
-        return out
+                if not (lo < pos < hi if strict else lo <= pos <= hi):
+                    continue
+            yield g, used
 
-    if not feasible(0, 0):
+    reach = [{0}]
+    for level in range(total_slots):
+        reach.append({used for s in reach[level] for _, used in steps(level, s)})
+    alive = [set() for _ in range(total_slots)] + [reach[total_slots] & {ny}]
+    for level in range(total_slots - 1, -1, -1):
+        alive[level] = {
+            s for s in reach[level]
+            if any(used in alive[level + 1] for _, used in steps(level, s))
+        }
+    if 0 not in alive[0]:
         return None
     gaps: list[int] = []
     smalls = 0
     for level in range(total_slots):
-        chosen = None
-        for g, used in ((dy, smalls + 1), (dy + 1, smalls)):
-            if used > ny or (level + 1 - used) > total_slots - ny:
-                continue
-            pos = smalls * dy + (level - smalls) * (dy + 1) + g
-            if position_ok(level + 1, pos) and feasible(level + 1, used):
-                chosen = (g, used)
-                break
-        if chosen is None:  # pragma: no cover - guarded by the feasibility check
-            return None
-        gaps.append(chosen[0])
-        smalls = chosen[1]
+        g, smalls = next((g, used) for g, used in steps(level, smalls) if used in alive[level + 1])
+        gaps.append(g)
     return tuple(gaps)
 
 
@@ -199,9 +191,9 @@ def build_duo(inst: Instance) -> DuoSolution:
 
     dy = tau(n, m).tau_l
     ny = (m + 1) * (1 + dy) - (n + 1)
-    gaps_y = _arrange_y_gaps(n, m, dy, ny, r_positions_t, strict=True)
+    gaps_y = _arrange_y_gaps(m, dy, ny, r_positions_t, strict=True)
     if gaps_y is None:
-        gaps_y = _arrange_y_gaps(n, m, dy, ny, r_positions_t, strict=False)
+        gaps_y = _arrange_y_gaps(m, dy, ny, r_positions_t, strict=False)
     if gaps_y is None:  # pragma: no cover - weak interleaving always exists
         gaps_y = gaps_y_canon
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import StabilityError, TrivialRegimeError, ValidationError
 
@@ -122,74 +122,70 @@ class QueueParams:
         return self.lam * self.mu1
 
 
-def _prefix_sums(vec: tuple[Fraction, ...]) -> list[Fraction]:
-    prefix = [Fraction(0)]
-    acc = Fraction(0)
-    for e in vec:
-        acc += e
-        prefix.append(acc)
-    return prefix
+def _scaled_prefix(v: Iterable[RationalLike], x: RationalLike) -> tuple[list[int], int, int]:
+    """Validate (v, x) and scale both to integers over one common denominator.
 
-
-def eval_f(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
-    """Total shortfall: sum of (x - interval sum)^+ over all index intervals.
-
-    Uses prefix sums, so the cost is one subtraction per interval.  Since
-    entries are nonnegative, the inner scan stops as soon as an interval is
-    saturated.
+    Returns the prefix sums of the scaled entries (starting at 0), the scaled
+    x and the denominator, so every interval sum is an exact integer.
     """
     vec = service_vector(v)
     xq = as_rational(x)
     if xq <= 0:
         raise ValidationError(f"x must be positive, got {xq}")
-    prefix = _prefix_sums(vec)
-    n = len(vec)
-    total = Fraction(0)
+    denom = math.lcm(xq.denominator, *(e.denominator for e in vec))
+    prefix = [0]
+    acc = 0
+    for e in vec:
+        acc += e.numerator * (denom // e.denominator)
+        prefix.append(acc)
+    return prefix, xq.numerator * (denom // xq.denominator), denom
+
+
+def _shortfall(prefix: Sequence[int], x: int) -> int:
+    """Sum of (x - interval sum)^+ over all intervals, from integer prefix sums.
+
+    Entries are nonnegative, so the scan from each start stops at the first
+    saturated interval.
+    """
+    n = len(prefix) - 1
+    total = 0
     for k in range(n):
-        base = prefix[k]
+        limit = prefix[k] + x
         for end in range(k + 1, n + 1):
-            gap = xq - (prefix[end] - base)
+            gap = limit - prefix[end]
             if gap <= 0:
                 break
             total += gap
     return total
+
+
+def eval_f(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
+    """Total shortfall: sum of (x - interval sum)^+ over all index intervals.
+
+    Evaluated on integers scaled to one denominator, so the result is exact.
+    """
+    prefix, xs, denom = _scaled_prefix(v, x)
+    return Fraction(_shortfall(prefix, xs), denom)
 
 
 def eval_f_row(v: Iterable[RationalLike], x: RationalLike, j: int) -> Fraction:
     """Shortfall restricted to the n+1-j intervals of exactly j consecutive indices."""
-    vec = service_vector(v)
-    xq = as_rational(x)
-    if xq <= 0:
-        raise ValidationError(f"x must be positive, got {xq}")
-    n = len(vec)
+    prefix, xs, denom = _scaled_prefix(v, x)
+    n = len(prefix) - 1
     if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= n:
         raise ValidationError(f"row length j must be an integer in [1, {n}], got {j!r}")
-    prefix = _prefix_sums(vec)
-    total = Fraction(0)
-    for k in range(n + 1 - j):
-        gap = xq - (prefix[k + j] - prefix[k])
-        if gap > 0:
-            total += gap
-    return total
+    total = sum(max(xs - (prefix[k + j] - prefix[k]), 0) for k in range(n + 1 - j))
+    return Fraction(total, denom)
 
 
 def strict_pair_sum(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
-    """Shortfall over intervals of length at least two (the variance bracket term)."""
-    vec = service_vector(v)
-    xq = as_rational(x)
-    if xq <= 0:
-        raise ValidationError(f"x must be positive, got {xq}")
-    prefix = _prefix_sums(vec)
-    n = len(vec)
-    total = Fraction(0)
-    for k in range(n - 1):
-        base = prefix[k]
-        for end in range(k + 2, n + 1):
-            gap = xq - (prefix[end] - base)
-            if gap <= 0:
-                break
-            total += gap
-    return total
+    """Shortfall over intervals of length at least two (the variance bracket term).
+
+    This is the total shortfall minus its singleton intervals.
+    """
+    prefix, xs, denom = _scaled_prefix(v, x)
+    singles = sum(max(xs - (b - a), 0) for a, b in zip(prefix, prefix[1:]))
+    return Fraction(_shortfall(prefix, xs) - singles, denom)
 
 
 def externality_mean(q: QueueParams, n: int, x: RationalLike) -> Fraction:

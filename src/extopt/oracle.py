@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -25,7 +23,7 @@ import numpy as np
 
 from .continuous import solve_continuous
 from .errors import SizeCapError, ValidationError
-from .model import Instance, as_rational, eval_f, service_vector
+from .model import Instance, _scaled_prefix, _shortfall, eval_f
 from .report import CONFIRMED, INCONCLUSIVE, VIOLATED
 
 
@@ -75,33 +73,6 @@ class VerifyReport:
     converged: bool
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("EXTOPT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _eval_scaled(vals: Sequence[int], x_scaled: int) -> int:
-    # integer version of eval_f; exact because every entry shares one denominator
-    n = len(vals)
-    prefix = [0] * (n + 1)
-    acc = 0
-    for i, v in enumerate(vals):
-        acc += v
-        prefix[i + 1] = acc
-    total = 0
-    for k in range(n):
-        base = prefix[k]
-        for end in range(k + 1, n + 1):
-            gap = x_scaled - (prefix[end] - base)
-            if gap <= 0:
-                break
-            total += gap
-    return total
-
-
 def brute_force_combinatorial(
     inst: Instance, cap: int = 5_000_000
 ) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -118,45 +89,27 @@ def brute_force_combinatorial(
     denom = math.lcm(inst.x.denominator, inst.r.denominator)
     x_s = int(inst.x * denom)
     r_s = int(inst.r * denom)
-    combos = list(itertools.combinations(range(n), m))
 
-    def scan(chunk: Iterable[tuple[int, ...]]) -> tuple[int, tuple[int, ...]] | None:
-        best: tuple[int, tuple[int, ...]] | None = None
-        for combo in chunk:
+    def placements() -> Iterator[tuple[int, ...]]:
+        for combo in itertools.combinations(range(n), m):
             base = [0] * n
             for pos in combo:
                 base[pos] = x_s
-            if r_s:
-                taken = set(combo)
-                for j in range(n):
-                    if j in taken:
-                        continue
+            if not r_s:
+                yield tuple(base)
+                continue
+            for j in range(n):
+                if base[j] == 0:
                     base[j] = r_s
-                    value = _eval_scaled(base, x_s)
-                    key = (value, tuple(base))
-                    if best is None or key < best:
-                        best = key
+                    yield tuple(base)
                     base[j] = 0
-            else:
-                value = _eval_scaled(base, x_s)
-                key = (value, tuple(base))
-                if best is None or key < best:
-                    best = key
-        return best
 
-    threads = _thread_count()
-    if threads == 1 or len(combos) < 2 * threads:
-        best = scan(combos)
-    else:
-        size = -(-len(combos) // threads)
-        chunks = [combos[i : i + size] for i in range(0, len(combos), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, chunks))
-        best = min(r for r in results if r is not None)
-    assert best is not None
-    value, vals = best
-    vector = tuple(Fraction(v, denom) for v in vals)
-    return vector, Fraction(value, denom)
+    def value(vals: tuple[int, ...]) -> int:
+        return _shortfall(list(itertools.accumulate(vals, initial=0)), x_s)
+
+    best = min(placements(), key=lambda vals: (value(vals), vals))
+    vector = tuple(Fraction(v, denom) for v in best)
+    return vector, Fraction(value(best), denom)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -184,17 +137,13 @@ def grid_search(
     denom = math.lcm(inst.x.denominator, step.denominator)
     x_s = int(inst.x * denom)
     u_s = int(step * denom)
-    best_value: int | None = None
-    best_comp: tuple[int, ...] | None = None
-    for comp in _compositions(resolution, n):
-        vals = [c * u_s for c in comp]
-        value = _eval_scaled(vals, x_s)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_comp = comp
-    assert best_value is not None and best_comp is not None
-    vector = tuple(c * step for c in best_comp)
-    return vector, Fraction(best_value, denom)
+
+    def value(comp: tuple[int, ...]) -> int:
+        return _shortfall([c * u_s for c in itertools.accumulate(comp, initial=0)], x_s)
+
+    best = min(_compositions(resolution, n), key=value)
+    vector = tuple(c * step for c in best)
+    return vector, Fraction(value(best), denom)
 
 
 def subgradient(v: Iterable, x) -> tuple[Fraction, ...]:
@@ -204,31 +153,20 @@ def subgradient(v: Iterable, x) -> tuple[Fraction, ...]:
     exactly saturated intervals contribute the midpoint -1/2 of their
     subdifferential range.
     """
-    vec = service_vector(v)
-    xq = as_rational(x)
-    if xq <= 0:
-        raise ValidationError(f"x must be positive, got {xq}")
-    n = len(vec)
-    prefix = [Fraction(0)]
-    for e in vec:
-        prefix.append(prefix[-1] + e)
-    diff = [Fraction(0)] * (n + 1)
-    half = Fraction(1, 2)
+    prefix, xs, _ = _scaled_prefix(v, x)
+    n = len(prefix) - 1
+    # weights doubled to stay integral: 2 per unsaturated, 1 per saturated interval
+    diff = [0] * (n + 1)
     for k in range(n):
         base = prefix[k]
         for end in range(k + 1, n + 1):
             s = prefix[end] - base
-            if s > xq:
+            if s > xs:
                 break
-            wgt = half if s == xq else Fraction(1)
+            wgt = 1 if s == xs else 2
             diff[k] -= wgt
             diff[end] += wgt
-    out = []
-    acc = Fraction(0)
-    for i in range(n):
-        acc += diff[i]
-        out.append(acc)
-    return tuple(out)
+    return tuple(Fraction(d, 2) for d in itertools.accumulate(diff[:n]))
 
 
 def project_to_simplex(point: Sequence[float], total: float) -> tuple[float, ...]:
@@ -285,12 +223,9 @@ def projected_subgradient(
     budget = max(1, cfg.max_iters // restarts)
     rng = np.random.default_rng(cfg.seed)
 
-    pairs = [(k, end) for k in range(n) for end in range(k + 1, n + 1)]
-    starts = np.array([p[0] for p in pairs])
-    ends = np.array([p[1] for p in pairs])
-    member = np.zeros((len(pairs), n))
-    for t, (k, end) in enumerate(pairs):
-        member[t, k:end] = 1.0
+    starts, ends = np.triu_indices(n + 1, k=1)
+    j = np.arange(n)
+    member = ((starts[:, None] <= j) & (j < ends[:, None])).astype(float)
 
     points = rng.exponential(size=(restarts, n))
     points = w * points / points.sum(axis=1, keepdims=True)

@@ -57,6 +57,21 @@ def random_vector(rng: random.Random, n: int, x: Fraction) -> tuple[Fraction, ..
     return tuple(random_fraction(rng) * scale for _ in range(n))
 
 
+def primes_between(lo: int, hi: int) -> list[int]:
+    return [p for p in range(max(lo, 2), hi) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def random_coprime_vector(
+    rng: random.Random, primes: list[int], n: int, x: Fraction
+) -> tuple[Fraction, ...]:
+    """Entries in [0, x/2] whose denominators are distinct primes from ``primes``,
+    a quarter of them zero."""
+    out = []
+    for p in rng.sample(primes, n):
+        out.append(Fraction(0) if rng.random() < 0.25 else Fraction(rng.randint(1, p * x // 2), p))
+    return tuple(out)
+
+
 def random_lambda_member(rng: random.Random, inst) -> tuple[Fraction, ...]:
     """Random vector with entries in [0, x] summing exactly to w."""
     n, x, w = inst.n, inst.x, inst.w

@@ -15,29 +15,26 @@ from extopt import (
     PROVEN,
     Instance,
     QueueParams,
-    as_rational,
     brute_force_combinatorial,
-    canonical_gap_profiles,
-    closed_form_objective,
-    delta_search,
-    duo_lattice_resolution,
     eval_f,
-    eval_f_row,
     externality_mean,
     externality_variance,
     grid_search,
-    a_value,
-    phi,
     projected_subgradient,
-    satisfies_interleaving,
     solve_combinatorial,
     solve_continuous,
     solve_continuous_integer,
-    strict_pair_sum,
-    supremum_vector,
-    tau,
     verify_conjecture,
 )
+from extopt.combinatorial import a_value, delta_search, phi
+from extopt.continuous import (
+    canonical_gap_profiles,
+    closed_form_objective,
+    satisfies_interleaving,
+    tau,
+)
+from extopt.model import as_rational, eval_f_row, strict_pair_sum, supremum_vector
+from extopt.oracle import duo_lattice_resolution
 from helpers import random_lambda_member, random_vector
 
 F = Fraction

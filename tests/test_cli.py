@@ -52,6 +52,11 @@ class TestSolve:
         for field in [doc["result"]["objective"], doc["instance"]["w"], *doc["result"]["vector"]]:
             assert str(F(field)) == field
 
+    def test_many_masses(self, capsys):
+        doc = run_json(capsys, "solve", "--domain", "continuous", "-n", "15001", "-x", "1",
+                       "-w", "10001/2")
+        assert len(doc["result"]["vector"]) == 15001
+
     def test_byte_identical_reruns(self, capsys):
         argv = ("solve", "--domain", "continuous", "-n", "8", "-x", "1", "-w", "3")
         _, first, _ = run_cli(capsys, *argv)

@@ -8,24 +8,25 @@ from fractions import Fraction
 import pytest
 
 from extopt import (
-    GapProfile,
     Instance,
     SizeCapError,
     ValidationError,
-    a_value,
-    as_rational,
     brute_force_combinatorial,
-    build_gamma_member,
-    delta_search,
     enumerate_gamma,
     eval_f,
-    h,
-    is_in_upsilon,
-    middle_points,
-    phi,
     solve_combinatorial,
 )
-from extopt.combinatorial import near_equidistant_parts
+from extopt.combinatorial import (
+    GapProfile,
+    a_value,
+    build_gamma_member,
+    delta_search,
+    h,
+    middle_points,
+    near_equidistant_parts,
+    phi,
+)
+from extopt.model import as_rational, is_in_upsilon
 
 F = Fraction
 

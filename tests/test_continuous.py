@@ -10,18 +10,19 @@ from extopt import (
     PROVEN,
     Instance,
     ValidationError,
-    as_rational,
-    build_duo,
-    canonical_gap_profiles,
-    closed_form_objective,
     eval_f,
-    eval_f_row,
-    satisfies_interleaving,
     solve_combinatorial,
     solve_continuous,
     solve_continuous_integer,
+)
+from extopt.continuous import (
+    build_duo,
+    canonical_gap_profiles,
+    closed_form_objective,
+    satisfies_interleaving,
     tau,
 )
+from extopt.model import as_rational, eval_f_row
 from helpers import random_lambda_member
 
 F = Fraction
@@ -258,3 +259,13 @@ class TestSolveContinuous:
                 continue
             rep = solve_continuous(inst(n, 1, w))
             assert rep.objective == eval_f(rep.vector, 1)
+
+    def test_many_masses(self):
+        # m = 5000 masses with a leftover: the y-gap arrangement must not
+        # depend on the recursion limit
+        i = inst(15001, 1, F(10001, 2))
+        assert i.m == 5000
+        rep = solve_continuous(i)
+        assert sum(rep.vector, F(0)) == i.w
+        assert all(0 <= e <= i.x for e in rep.vector)
+        assert rep.objective == eval_f(rep.vector, i.x)

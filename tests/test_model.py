@@ -11,17 +11,27 @@ from extopt import (
     StabilityError,
     TrivialRegimeError,
     ValidationError,
-    as_rational,
     eval_f,
-    eval_f_row,
     externality_mean,
     externality_variance,
+)
+from extopt.model import (
+    as_rational,
+    eval_f_row,
     is_in_lambda,
     is_in_upsilon,
     strict_pair_sum,
     supremum_vector,
 )
-from helpers import naive_f, naive_row, naive_strict_pairs, random_lambda_member, random_vector
+from helpers import (
+    naive_f,
+    naive_row,
+    naive_strict_pairs,
+    primes_between,
+    random_coprime_vector,
+    random_lambda_member,
+    random_vector,
+)
 
 F = Fraction
 
@@ -175,6 +185,34 @@ class TestStrictPairSum:
             diagonal = sum((max(x - e, F(0)) for e in v), F(0))
             assert eval_f(v, x) == diagonal + strict_pair_sum(v, x)
             assert strict_pair_sum(v, x) == naive_strict_pairs(v, x)
+
+
+class TestLargeDenominators:
+    # pairwise coprime entry denominators near 10^6 and an x over 2^20 make
+    # the common denominator of the integer kernel huge
+    PRIMES = primes_between(999_000, 1_000_000)
+    X_DENOM = 2**20
+
+    def random_case(self, rng):
+        n = rng.randint(1, 10)
+        x = F(rng.randint(self.X_DENOM, 5 * self.X_DENOM), self.X_DENOM)
+        return random_coprime_vector(rng, self.PRIMES, n, x), x
+
+    def test_kernel_matches_naive(self):
+        rng = random.Random(1_000_003)
+        for _ in range(40):
+            v, x = self.random_case(rng)
+            assert eval_f(v, x) == naive_f(v, x)
+            assert strict_pair_sum(v, x) == naive_strict_pairs(v, x)
+            for j in range(1, len(v) + 1):
+                assert eval_f_row(v, x, j) == naive_row(v, x, j)
+
+    def test_homogeneity(self):
+        rng = random.Random(424242)
+        for _ in range(40):
+            v, x = self.random_case(rng)
+            c = F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            assert eval_f([c * e for e in v], c * x) == c * eval_f(v, x)
 
 
 class TestQueueFormulas:

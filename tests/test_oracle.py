@@ -12,18 +12,16 @@ from extopt import (
     SizeCapError,
     SubgradientConfig,
     ValidationError,
-    as_rational,
     brute_force_combinatorial,
-    duo_lattice_resolution,
     eval_f,
     grid_search,
-    project_to_simplex,
     projected_subgradient,
     solve_combinatorial,
     solve_continuous,
-    subgradient,
     verify_conjecture,
 )
+from extopt.model import as_rational
+from extopt.oracle import duo_lattice_resolution, project_to_simplex, subgradient
 F = Fraction
 
 
@@ -59,14 +57,6 @@ class TestBruteForce:
             i = inst(n, 1, w)
             vec, best = brute_force_combinatorial(i)
             assert eval_f(vec, i.x) == best
-
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        i = inst(9, "1.1", "2.4")
-        monkeypatch.delenv("EXTOPT_THREADS", raising=False)
-        single = brute_force_combinatorial(i)
-        monkeypatch.setenv("EXTOPT_THREADS", "3")
-        threaded = brute_force_combinatorial(i)
-        assert single == threaded
 
 
 class TestGridSearch:
