@@ -3,8 +3,9 @@
 JSON goes to stdout, diagnostics to stderr, CSV only through --output.
 Rationals are serialized as exact "p/q" strings so reports round-trip.
 
-Exit codes: 0 success/CONFIRMED, 2 invalid input or cap exceeded, 3 trivial
-or unstable regime, 4 INCONCLUSIVE verification, 5 VIOLATED verification.
+Exit codes: 0 success/CONFIRMED, 1 internal error, 2 invalid input or cap
+exceeded, 3 trivial or unstable regime, 4 INCONCLUSIVE verification, 5
+VIOLATED verification.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from . import __version__
 from .combinatorial import enumerate_gamma, solve_combinatorial
 from .continuous import solve_continuous
 from .errors import (
-    ExtoptError,
     SizeCapError,
     StabilityError,
     TrivialRegimeError,
@@ -321,8 +321,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValidationError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ExtoptError as exc:  # pragma: no cover - internal failures
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # a failed self-check or a bug: report it, never escape the exit-code table
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

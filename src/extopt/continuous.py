@@ -197,23 +197,29 @@ def build_duo(inst: Instance) -> DuoSolution:
     if gaps_y is None:  # pragma: no cover - weak interleaving always exists
         gaps_y = gaps_y_canon
 
+    # only the 2m+1 mass positions are nonzero, so the checks below look at
+    # those alone
+    touched = set()
     v_y = [Fraction(0)] * n
     acc = 0
     for g in gaps_y[:m]:
         acc += g
         v_y[acc - 1] = y
+        touched.add(acc - 1)
     v_r = [Fraction(0)] * n
+    combined = list(v_y)
     for pos in r_positions:
         v_r[pos - 1] = r
-    combined = tuple(a + b for a, b in zip(v_y, v_r))
-    if any(e > x for e in combined):
+        combined[pos - 1] += r
+        touched.add(pos - 1)
+    if any(combined[i] > x for i in touched):
         raise ConstructionError(f"layer overlap pushed an entry above x in {combined}")
-    if sum(combined, Fraction(0)) != inst.w:
+    if sum((combined[i] for i in touched), Fraction(0)) != inst.w:
         raise ConstructionError("combined layers do not use the whole budget")
     return DuoSolution(
         v_y=tuple(v_y),
         v_r=tuple(v_r),
-        combined=combined,
+        combined=tuple(combined),
         gap_y=tuple(gaps_y),
         gap_r=tuple(gaps_r),
     )

@@ -174,18 +174,60 @@ def project_to_simplex(point: Sequence[float], total: float) -> tuple[float, ...
     if total <= 0:
         raise ValidationError(f"total mass must be positive, got {total}")
     arr = np.asarray(point, dtype=float).reshape(1, -1)
-    return tuple(float(v) for v in _project_rows(arr, float(total))[0])
+    ranks = np.arange(1, arr.shape[1] + 1)
+    return tuple(float(v) for v in _project_rows(arr, float(total), ranks)[0])
 
 
-def _project_rows(points: np.ndarray, total: float) -> np.ndarray:
-    n = points.shape[1]
-    u = -np.sort(-points, axis=1)
+def _project_rows(points: np.ndarray, total: float, ranks: np.ndarray) -> np.ndarray:
+    # ranks is 1..n, passed in so the descent loop builds it once
+    u = np.sort(points, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1)
-    j = np.arange(1, n + 1)
-    cond = u + (total - css) / j > 0
+    cond = u + (total - css) / ranks > 0
     rho = cond.sum(axis=1)
-    theta = (css[np.arange(points.shape[0]), rho - 1] - total) / rho
+    theta = (css[np.arange(len(points)), rho - 1] - total) / rho
     return np.maximum(points - theta[:, None], 0.0)
+
+
+def _interval_offsets(n: int, rows: int) -> np.ndarray:
+    """Flat offsets into a (rows, n+1) array: the starts of all intervals,
+    then their ends, one column per row.
+
+    Interval [s, e) covers coordinates s..e-1 and has sum prefix[e] - prefix[s].
+    """
+    starts, ends = np.triu_indices(n + 1, k=1)
+    base = (n + 1) * np.arange(rows)
+    return np.concatenate([starts, ends])[:, None] + base
+
+
+def _shortfall_and_gradient(
+    points: np.ndarray, x: float, tie_eps: float, offsets: np.ndarray, prefix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Objective values and subgradients of the rows of ``points``.
+
+    ``prefix`` is a (rows, n+1) buffer whose first column is zero.  The
+    gradient is a difference array: every interval adds its doubled weight
+    (2 unsaturated, 1 within ``tie_eps`` of saturation, 0 saturated) at its
+    start and subtracts it at its end, so a running sum gives twice each
+    coordinate's coverage.  The weights are integers, so every partial sum is
+    exact, and O(n^2) work and memory suffice.
+    """
+    n = points.shape[1]
+    np.cumsum(points, axis=1, out=prefix[:, 1:])
+    # intervals along axis 0, rows along axis 1: the layout fixes the order
+    # in which the sum over intervals adds up, and so the float f values
+    bounds = prefix.take(offsets)
+    half = len(offsets) // 2
+    diff = x - (bounds[half:] - bounds[:half])
+    fvals = np.maximum(diff, 0.0).sum(axis=0)
+    doubled = (diff >= -tie_eps).astype(float) + (diff > tie_eps)
+    counts = np.bincount(
+        offsets.ravel(),
+        weights=np.concatenate([doubled, -doubled]).ravel(),
+        minlength=prefix.size,
+    ).reshape(prefix.shape)
+    grad = np.cumsum(counts[:, :n], axis=1)
+    grad *= -0.5
+    return fvals, grad
 
 
 _N_STAGES = 20
@@ -223,20 +265,22 @@ def projected_subgradient(
     budget = max(1, cfg.max_iters // restarts)
     rng = np.random.default_rng(cfg.seed)
 
-    starts, ends = np.triu_indices(n + 1, k=1)
-    j = np.arange(n)
-    member = ((starts[:, None] <= j) & (j < ends[:, None])).astype(float)
+    offsets = _interval_offsets(n, restarts)
+    prefix = np.zeros((restarts, n + 1))
+    ranks = np.arange(1, n + 1)
 
     points = rng.exponential(size=(restarts, n))
     points = w * points / points.sum(axis=1, keepdims=True)
     if start is not None:
         if len(start) != n:
             raise ValidationError(f"start point must have {n} entries, got {len(start)}")
-        points[0] = _project_rows(np.asarray(start, dtype=float).reshape(1, -1), w)[0]
+        points[0] = _project_rows(np.asarray(start, dtype=float).reshape(1, -1), w, ranks)[0]
 
     best_val = np.full(restarts, np.inf)
     best_pt = points.copy()
     stage = np.zeros(restarts, dtype=int)
+    scale = c0 * _STAGE_DECAY**stage
+    at_floor = stage >= _N_STAGES - 1
     k_local = np.ones(restarts)
     since = np.zeros(restarts, dtype=int)
     done = np.zeros(restarts, dtype=bool)
@@ -245,30 +289,23 @@ def projected_subgradient(
     iterations = 0
     for _ in range(budget):
         iterations += 1
-        prefix = np.concatenate(
-            [np.zeros((restarts, 1)), np.cumsum(points, axis=1)], axis=1
-        )
-        sums = prefix[:, ends] - prefix[:, starts]
-        diff = x - sums
-        fvals = np.where(diff > 0, diff, 0.0).sum(axis=1)
+        fvals, grad = _shortfall_and_gradient(points, x, tie_eps, offsets, prefix)
 
         better = fvals < best_val
-        best_pt[better] = points[better]
+        np.copyto(best_pt, points, where=better[:, None])
         improved = fvals < best_val - cfg.tolerance
-        best_val = np.where(better, fvals, best_val)
-        since = np.where(improved, 0, since + 1)
+        np.minimum(fvals, best_val, out=best_val)
+        since += 1
+        since[improved] = 0
 
-        at_floor = stage >= _N_STAGES - 1
         done = at_floor & (since >= cfg.stagnation_window)
         if done.all():
             break
 
-        weight = (diff > tie_eps).astype(float) + 0.5 * (np.abs(diff) <= tie_eps)
-        grad = -(weight @ member)
         norms = np.sqrt((grad * grad).sum(axis=1))
         norms[norms == 0.0] = 1.0
-        alpha = c0 * _STAGE_DECAY**stage / np.sqrt(k_local)
-        points = _project_rows(points - (alpha / norms)[:, None] * grad, w)
+        alpha = scale / np.sqrt(k_local)
+        points = _project_rows(points - (alpha / norms)[:, None] * grad, w, ranks)
         k_local += 1
 
         advance = ((since >= _STAGE_WINDOW) | (k_local >= _STAGE_MAX_ITERS)) & ~at_floor
@@ -277,6 +314,8 @@ def projected_subgradient(
             k_local[advance] = 1.0
             since[advance] = 0
             points[advance] = best_pt[advance]
+            scale = c0 * _STAGE_DECAY**stage
+            at_floor = stage >= _N_STAGES - 1
 
     idx = int(np.argmin(best_val))
     return SubgradientResult(

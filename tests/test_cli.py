@@ -219,6 +219,20 @@ class TestEnumerate:
         assert code == 2
 
 
+class TestInternalError:
+    def test_unexpected_exception_exits_1(self, capsys, monkeypatch):
+        def broken(inst):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("extopt.cli.solve_continuous", broken)
+        code, out, err = run_cli(capsys, "solve", "--domain", "continuous",
+                                 "-n", "7", "-x", "1", "-w", "2.2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal error")
+        assert "RuntimeError: boom" in err
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         proc = subprocess.run(

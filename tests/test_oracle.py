@@ -1,8 +1,10 @@
 """Brute-force, lattice, and subgradient oracles plus the verify harness."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from extopt import (
@@ -21,7 +23,13 @@ from extopt import (
     verify_conjecture,
 )
 from extopt.model import as_rational
-from extopt.oracle import duo_lattice_resolution, project_to_simplex, subgradient
+from extopt.oracle import (
+    _interval_offsets,
+    _shortfall_and_gradient,
+    duo_lattice_resolution,
+    project_to_simplex,
+    subgradient,
+)
 F = Fraction
 
 
@@ -126,6 +134,26 @@ class TestSubgradientExact:
         # coordinate i sits in (i+1)*(n-i) intervals
         assert g == (-3, -4, -3)
 
+    def test_descent_step_matches_exact_oracle(self):
+        # dyadic entries keep every float interval sum exact, so saturation
+        # ties really occur and the float step must equal the exact values
+        rng = random.Random(21)
+        halves = 0
+        for n in range(1, 41):
+            for rows in (1, 8):
+                x = F(rng.randint(1, 8), 4)
+                vs = [[F(rng.randint(0, 6), 4) for _ in range(n)] for _ in range(rows)]
+                fvals, grad = _shortfall_and_gradient(
+                    np.array(vs, dtype=float), float(x), 1e-12 * max(1.0, float(x)),
+                    _interval_offsets(n, rows), np.zeros((rows, n + 1)),
+                )
+                for row, v in enumerate(vs):
+                    exact = subgradient(v, x)
+                    assert F(float(fvals[row])) == eval_f(v, x)
+                    assert tuple(F(float(g)) for g in grad[row]) == exact
+                    halves += sum(g.denominator == 2 for g in exact)
+        assert halves > 0  # tie weights of 1/2 were exercised
+
 
 class TestSimplexProjection:
     def test_projection_is_feasible_and_closest(self):
@@ -184,6 +212,33 @@ class TestProjectedSubgradient:
             projected_subgradient(inst(4, 1, 1), SubgradientConfig(max_iters=0))
         with pytest.raises(ValidationError):
             projected_subgradient(inst(4, 1, 1), SubgradientConfig(step_scale=-1.0))
+
+    @pytest.mark.parametrize(
+        "n,w,restarts,iterations",
+        [
+            (120, 37 + F(4, 12), 1, 2141),
+            (19, 2 + F(11, 12), 8, 36864),
+        ],
+    )
+    def test_trajectory_pin(self, n, w, restarts, iterations):
+        # step counts of the descent from the duo vector, as verify runs it,
+        # recorded with the dense membership-matrix gradient: the step count
+        # follows every float comparison of the run, so it pins the trajectory
+        i = Instance(n, F(1), w)
+        start = [float(e) for e in solve_continuous(i).vector]
+        res = projected_subgradient(i, SubgradientConfig(seed=1, restarts=restarts), start=start)
+        assert (res.iterations, res.converged) == (iterations, True)
+
+    def test_bounded_memory_at_n_240(self):
+        # a dense interval-by-coordinate matrix alone would take 53 MiB here
+        i = inst(240, 1, F(223, 3))
+        tracemalloc.start()
+        try:
+            projected_subgradient(i, SubgradientConfig(max_iters=8 * 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestOracleSandwich:
