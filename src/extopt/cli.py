@@ -178,7 +178,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             oracle_field = ""
             if args.with_oracle:
                 cfg = _subgradient_config(args)
-                oracle_field = repr(projected_subgradient(inst, cfg).value)
+                start = [float(e) for e in cont.vector]
+                oracle_field = repr(projected_subgradient(inst, cfg, start=start).value)
             writer.writerow(
                 [
                     n,

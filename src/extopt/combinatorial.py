@@ -10,49 +10,28 @@ of an exact second-difference criterion.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Sequence
 
 from .errors import ConstructionError, SizeCapError, ValidationError
 from .model import Instance, eval_f
 
 
 @dataclass(frozen=True)
-class GapProfile:
-    """Gaps between consecutive masses (boundaries included), plus the index
-    of the designated widest gap.
-
-    Valid profiles have positive gaps, the maximum at position ``t``, and all
-    other gaps pairwise within one of each other.
-    """
-
-    gaps: tuple[int, ...]
-    t: int
-
-    def __post_init__(self) -> None:
-        gaps = tuple(self.gaps)
-        object.__setattr__(self, "gaps", gaps)
-        if not gaps or any(g < 1 for g in gaps):
-            raise ValidationError(f"gaps must be positive integers, got {gaps}")
-        if not 0 <= self.t < len(gaps):
-            raise ValidationError(f"t = {self.t} out of range for {len(gaps)} gaps")
-        if gaps[self.t] != max(gaps):
-            raise ValidationError(f"gap at t = {self.t} is not maximal in {gaps}")
-        rest = [g for i, g in enumerate(gaps) if i != self.t]
-        if rest and max(rest) - min(rest) > 1:
-            raise ValidationError(f"non-widest gaps of {gaps} differ by more than 1")
-
-    @property
-    def delta(self) -> int:
-        return self.gaps[self.t]
-
-
-@dataclass(frozen=True)
 class DeltaCertificate:
     """Artifacts of the widest-gap search: the odd and even candidates, their
-    objective values, the analytic search window, and the chosen delta*."""
+    objective values, and the chosen delta*.
+
+    ``window`` is the analytic bracket (d_minus, d_plus) that the second
+    difference crosses zero in.  The search does not use it; ``used_fallback``
+    reports that it missed, i.e. a candidate lies outside
+    [ceil(d_minus), min(floor(d_plus) + 2, n - 1 - m)], or, when r = 0,
+    ceil((n+1)/(m+1)) is neither candidate.
+    """
 
     delta1: int
     delta2: int
@@ -137,95 +116,46 @@ def _tau_upper(n: int, m: int) -> int:
     return -((n + 1) // -(m + 1))
 
 
-def _bisect_first_positive(inst: Instance, lo: int, hi: int) -> int | None:
-    # smallest delta in {lo, lo+2, ..., hi} with phi(delta) > 0; phi is increasing
-    if lo > hi:
-        return None
-    count = (hi - lo) // 2 + 1
-    left, right = 0, count - 1
-    if phi(inst, hi) <= 0:
-        return None
-    while left < right:
-        mid = (left + right) // 2
-        if phi(inst, lo + 2 * mid) > 0:
-            right = mid
-        else:
-            left = mid + 1
-    return lo + 2 * left
-
-
-def _class_minimizer(
-    inst: Instance, parity: int, win_lo: int, win_hi: int
-) -> tuple[int, bool]:
-    """Smallest delta of the given parity whose second difference is positive,
-    or the top of the feasible class when there is none.
-
-    Tries the analytic window first; any inconsistency falls back to a linear
-    scan and is reported in the second component.
-    """
-    n, m = inst.n, inst.m
-    hi = n + 1 - m
-    cls_lo = parity
-    cls_hi = hi - (hi - parity) % 2
-    if cls_hi < cls_lo:
-        raise ConstructionError(f"no feasible delta of parity {parity} for {inst}")
-    # phi(delta) compares a_value(delta) with a_value(delta+2), so the scan
-    # stops two below the top of the feasible range
-    scan_hi = cls_hi - 2
-
-    def align_up(v: int) -> int:
-        return v if v % 2 == parity % 2 else v + 1
-
-    def align_down(v: int) -> int:
-        return v if v % 2 == parity % 2 else v - 1
-
-    b_lo = align_up(max(cls_lo, win_lo))
-    b_hi = align_down(min(scan_hi, win_hi))
-    if b_lo <= b_hi:
-        found = _bisect_first_positive(inst, b_lo, b_hi)
-        if found is not None:
-            minimal = found - 2 < cls_lo or phi(inst, found - 2) <= 0
-            if minimal:
-                return found, False
-    # window missed: linear scan of the whole parity class
-    for delta in range(cls_lo, scan_hi + 1, 2):
-        if phi(inst, delta) > 0:
-            return delta, True
-    return cls_hi, True
+def _class_candidate(inst: Instance, parity: int) -> int:
+    # first delta of {parity, parity+2, ..., top} with phi(delta) > 0, else top,
+    # the widest feasible gap of this parity; phi(top) is never needed, as it
+    # would compare with the infeasible top+2
+    hi = inst.n + 1 - inst.m
+    top = hi - (hi - parity) % 2
+    k = bisect.bisect_left(range(parity, top, 2), True, key=lambda d: phi(inst, d) > 0)
+    return parity + 2 * k
 
 
 def delta_search(inst: Instance) -> DeltaCertificate:
     """Locate the optimal widest gap delta* for an instance with m >= 1.
 
-    Both parity classes are searched for the first positive second
-    difference inside the analytic window; delta* is the candidate with the
-    smaller objective (the even one on ties).  When r = 0 the objective's
-    first difference is already monotone and delta* collapses to
-    ceil((n+1)/(m+1)), which is returned directly.
+    Each parity class of feasible widest gaps is bisected, whole, for its
+    first positive second difference; phi is increasing, so this is exact.
+    delta* is the candidate with the smaller objective (the even one on
+    ties).  When r = 0 the objective's first difference is already monotone
+    and delta* is ceil((n+1)/(m+1)).
     """
     n, m = inst.n, inst.m
     if m < 1:
         raise ValidationError("delta_search needs m >= 1; place r at a middle point instead")
     x, r = inst.x, inst.r
+    delta1, delta2 = _class_candidate(inst, 1), _class_candidate(inst, 2)
+    a1 = a_value(inst, delta1)
+    a2 = a_value(inst, delta2)
+    if r == 0:
+        delta_star = _tau_upper(n, m)
+    else:
+        delta_star = delta1 if a1 < a2 else delta2
+
     denom = x * (1 + Fraction(1, m)) - r / 2
     center = r / 2 + x * Fraction(2 * n - 1 - m, 2 * m)
     d_minus = (center - 1) / denom
     d_plus = (center + 1) / denom
     # +2 absorbs parity rounding at the top of the window
-    win_lo = math.ceil(d_minus)
-    win_hi = math.floor(d_plus) + 2
-
-    delta1, fb1 = _class_minimizer(inst, 1, win_lo, win_hi)
-    delta2, fb2 = _class_minimizer(inst, 2, win_lo, win_hi)
-    a1 = a_value(inst, delta1)
-    a2 = a_value(inst, delta2)
-    fallback = fb1 or fb2
-    if r == 0:
-        delta_star = _tau_upper(n, m)
-        if delta_star not in (delta1, delta2):  # pragma: no cover - theorem guarantee
-            fallback = True
-    else:
-        delta_star = delta1 if a1 < a2 else delta2
+    win_lo, win_hi = math.ceil(d_minus), min(math.floor(d_plus) + 2, n - 1 - m)
+    fallback = delta_star not in (delta1, delta2) or not all(
+        win_lo <= d <= win_hi for d in (delta1, delta2)
+    )
     return DeltaCertificate(
         delta1=delta1,
         delta2=delta2,
@@ -237,13 +167,8 @@ def delta_search(inst: Instance) -> DeltaCertificate:
     )
 
 
-def _positions_from_gaps(gaps: tuple[int, ...], count: int) -> tuple[int, ...]:
-    positions = []
-    acc = 0
-    for g in gaps[:count]:
-        acc += g
-        positions.append(acc)
-    return tuple(positions)
+def _positions_from_gaps(gaps: Sequence[int], count: int) -> tuple[int, ...]:
+    return tuple(itertools.accumulate(gaps[:count]))
 
 
 def build_gamma_member(inst: Instance, delta: int) -> tuple[Fraction, ...]:
@@ -278,26 +203,6 @@ def build_gamma_member(inst: Instance, delta: int) -> tuple[Fraction, ...]:
     return tuple(entries)
 
 
-def _multiset_permutations(values: dict[int, int]) -> Iterator[tuple[int, ...]]:
-    # distinct permutations of a small multiset given as value -> count
-    total = sum(values.values())
-
-    def rec(prefix: list[int], remaining: dict[int, int], left: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            yield tuple(prefix)
-            return
-        for val in sorted(remaining):
-            if remaining[val] == 0:
-                continue
-            remaining[val] -= 1
-            prefix.append(val)
-            yield from rec(prefix, remaining, left - 1)
-            prefix.pop()
-            remaining[val] += 1
-
-    return rec([], dict(values), total)
-
-
 def enumerate_gamma(inst: Instance, delta: int, cap: int = 20) -> list[tuple[Fraction, ...]]:
     """Every structured vector with widest gap delta, deduplicated and in
     lexicographic order.  Bounded by ``cap`` on n to keep the output small."""
@@ -320,23 +225,20 @@ def enumerate_gamma(inst: Instance, delta: int, cap: int = 20) -> list[tuple[Fra
     if total_rest < m:
         return []
     q, s = divmod(total_rest, m)
-    if max(q + (1 if s else 0), q) > delta or (r > 0 and delta < 2):
+    if q + (1 if s else 0) > delta or (r > 0 and delta < 2):
         return []
-    counts: dict[int, int] = {delta: 1}
-    if s:
-        counts[q + 1] = counts.get(q + 1, 0) + s
-    counts[q] = counts.get(q, 0) + (m - s)
 
+    # a member is the widest-gap slot t plus the s slots of width q+1 among
+    # the other m; the remaining gaps are q wide
     seen: set[tuple[tuple[int, ...], int]] = set()
-    for arrangement in _multiset_permutations(counts):
-        positions = _positions_from_gaps(arrangement, m)
-        boundaries = (0,) + positions + (n + 1,)
-        for t, gap in enumerate(arrangement):
-            if gap != delta:
-                continue
-            rest = [g for i, g in enumerate(arrangement) if i != t]
-            if rest and max(rest) - min(rest) > 1:
-                continue
+    for t in range(m + 1):
+        for longs in itertools.combinations([i for i in range(m + 1) if i != t], s):
+            gaps = [q] * (m + 1)
+            for i in longs:
+                gaps[i] = q + 1
+            gaps[t] = delta
+            positions = _positions_from_gaps(gaps, m)
+            boundaries = (0,) + positions + (n + 1,)
             if r > 0:
                 lo, hi = boundaries[t] + 1, boundaries[t + 1] - 1
                 for j in _stretch_middles(lo, hi):

@@ -10,11 +10,12 @@ PROVEN/CONJECTURED status so the two cases are never conflated.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .combinatorial import build_gamma_member
+from .combinatorial import build_gamma_member, near_equidistant_parts
 from .errors import ConstructionError, ValidationError
 from .model import Instance, eval_f
 from .report import CONJECTURED, PROVEN, SolveReport
@@ -93,27 +94,13 @@ def canonical_gap_profiles(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, 
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     if isinstance(m, bool) or not isinstance(m, int) or not 0 <= m < n:
         raise ValidationError(f"m must be an integer in [0, {n - 1}], got {m!r}")
-    dy = tau(n, m).tau_l
-    ny = (m + 1) * (1 + dy) - (n + 1)
-    gaps_y = (dy,) * ny + (dy + 1,) * (m + 1 - ny)
-    dz = tau(n, m + 1).tau_l
-    nz = (m + 2) * (1 + dz) - (n + 1)
-    gaps_r = (dz,) * nz + (dz + 1,) * (m + 2 - nz)
-    return gaps_y, gaps_r
+    return near_equidistant_parts(m + 1, n + 1), near_equidistant_parts(m + 2, n + 1)
 
 
 def satisfies_interleaving(gaps_y: tuple[int, ...], gaps_r: tuple[int, ...]) -> bool:
     """Check the partial-sum condition: r-prefix <= y-prefix <= next r-prefix."""
-    sums_y = []
-    acc = 0
-    for g in gaps_y:
-        acc += g
-        sums_y.append(acc)
-    sums_r = []
-    acc = 0
-    for g in gaps_r:
-        acc += g
-        sums_r.append(acc)
+    sums_y = list(itertools.accumulate(gaps_y))
+    sums_r = list(itertools.accumulate(gaps_r))
     if len(sums_r) != len(sums_y) + 1:
         return False
     for idx, sy in enumerate(sums_y):
@@ -123,11 +110,11 @@ def satisfies_interleaving(gaps_y: tuple[int, ...], gaps_r: tuple[int, ...]) -> 
 
 
 def _arrange_y_gaps(
-    m: int, dy: int, ny: int, r_positions: tuple[int, ...], strict: bool
+    m: int, dy: int, ny: int, r_positions: tuple[int, ...]
 ) -> tuple[int, ...] | None:
-    """Lexicographically smallest arrangement of the y-gap multiset whose mass
-    positions fall (strictly, if requested) between consecutive r-layer
-    positions.  Returns None when no arrangement fits.
+    """Lexicographically smallest arrangement of the y-gap multiset (ny gaps
+    of dy, the rest dy+1) whose mass positions fall strictly between
+    consecutive r-layer positions.  Returns None when no arrangement fits.
 
     A state is the number of short gaps among the first ``level`` gaps.  A
     forward pass collects the reachable states per level, a backward pass
@@ -146,7 +133,7 @@ def _arrange_y_gaps(
             if level < m:
                 lo, hi = r_positions[level], r_positions[level + 1]
                 pos = pos_base + g
-                if not (lo < pos < hi if strict else lo <= pos <= hi):
+                if not lo < pos < hi:
                     continue
             yield g, used
 
@@ -173,39 +160,29 @@ def build_duo(inst: Instance) -> DuoSolution:
     """Superpose the y-layer and the r-layer on canonical gap profiles.
 
     The r-layer keeps the canonical short-gaps-first profile.  The y-layer
-    prefers an arrangement that interleaves strictly (no shared slots); when
-    none exists it falls back to the canonical weak interleaving, where a
-    collision stacks y + r = x on one slot, still within bounds.
+    takes the lexicographically smallest arrangement that interleaves
+    strictly (no shared slots); when none exists it takes the canonical
+    profile, which interleaves weakly: a collision stacks y + r = x on one
+    slot, still within bounds.
     """
     n, m, x = inst.n, inst.m, inst.x
     r, y = inst.r, inst.y
     if r == 0:
         raise ValidationError("no leftover mass; use solve_continuous_integer")
     gaps_y_canon, gaps_r = canonical_gap_profiles(n, m)
-    r_positions = []
-    acc = 0
-    for g in gaps_r[: m + 1]:
-        acc += g
-        r_positions.append(acc)
-    r_positions_t = tuple(r_positions) + (n + 1,)
-
-    dy = tau(n, m).tau_l
-    ny = (m + 1) * (1 + dy) - (n + 1)
-    gaps_y = _arrange_y_gaps(m, dy, ny, r_positions_t, strict=True)
+    r_positions = tuple(itertools.accumulate(gaps_r[: m + 1]))
+    dy = gaps_y_canon[0]
+    gaps_y = _arrange_y_gaps(m, dy, gaps_y_canon.count(dy), r_positions + (n + 1,))
     if gaps_y is None:
-        gaps_y = _arrange_y_gaps(m, dy, ny, r_positions_t, strict=False)
-    if gaps_y is None:  # pragma: no cover - weak interleaving always exists
         gaps_y = gaps_y_canon
 
     # only the 2m+1 mass positions are nonzero, so the checks below look at
     # those alone
     touched = set()
     v_y = [Fraction(0)] * n
-    acc = 0
-    for g in gaps_y[:m]:
-        acc += g
-        v_y[acc - 1] = y
-        touched.add(acc - 1)
+    for pos in itertools.accumulate(gaps_y[:m]):
+        v_y[pos - 1] = y
+        touched.add(pos - 1)
     v_r = [Fraction(0)] * n
     combined = list(v_y)
     for pos in r_positions:

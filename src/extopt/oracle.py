@@ -32,19 +32,16 @@ class SubgradientConfig:
     """Knobs of the projected subgradient oracle.
 
     ``max_iters`` is the total iteration budget across restarts.  The base
-    step is step_scale/sqrt(k) (step_scale defaults to the budget w); the
-    scale decays geometrically between warm-restarted stages so the final
-    sweeps resolve the optimum to float precision.  A restart counts as
-    converged when its best value has not improved by more than ``tolerance``
-    for ``stagnation_window`` consecutive iterations at the finest scale.
+    step is w/sqrt(k) for the budget w; the scale decays geometrically
+    between warm-restarted stages so the final sweeps resolve the optimum to
+    float precision.  A restart counts as converged when its best value has
+    not improved by more than 1e-7 for 1000 consecutive iterations at the
+    finest scale.
     """
 
     max_iters: int = 200_000
-    step_scale: float | None = None
-    tolerance: float = 1e-7
     seed: int = 0
     restarts: int = 8
-    stagnation_window: int = 1000
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,7 @@ class VerifyReport:
     """Outcome of checking the duo construction against the oracles.
 
     CONFIRMED needs the oracle to sit no lower than the construction (up to
-    tolerance); VIOLATED needs a strictly better point that survives exact
+    1e-6); VIOLATED needs a strictly better point that survives exact
     re-evaluation; anything murky is INCONCLUSIVE.
     """
 
@@ -234,6 +231,9 @@ _N_STAGES = 20
 _STAGE_DECAY = 0.3
 _STAGE_WINDOW = 60
 _STAGE_MAX_ITERS = 300
+_IMPROVEMENT_TOL = 1e-7
+_STAGNATION_WINDOW = 1000
+_VERIFY_TOL = 1e-6
 
 
 def projected_subgradient(
@@ -258,9 +258,6 @@ def projected_subgradient(
     n = inst.n
     x = float(inst.x)
     w = float(inst.w)
-    c0 = w if cfg.step_scale is None else float(cfg.step_scale)
-    if c0 <= 0:
-        raise ValidationError(f"step scale must be positive, got {c0}")
     restarts = cfg.restarts
     budget = max(1, cfg.max_iters // restarts)
     rng = np.random.default_rng(cfg.seed)
@@ -279,7 +276,7 @@ def projected_subgradient(
     best_val = np.full(restarts, np.inf)
     best_pt = points.copy()
     stage = np.zeros(restarts, dtype=int)
-    scale = c0 * _STAGE_DECAY**stage
+    scale = w * _STAGE_DECAY**stage
     at_floor = stage >= _N_STAGES - 1
     k_local = np.ones(restarts)
     since = np.zeros(restarts, dtype=int)
@@ -293,12 +290,12 @@ def projected_subgradient(
 
         better = fvals < best_val
         np.copyto(best_pt, points, where=better[:, None])
-        improved = fvals < best_val - cfg.tolerance
+        improved = fvals < best_val - _IMPROVEMENT_TOL
         np.minimum(fvals, best_val, out=best_val)
         since += 1
         since[improved] = 0
 
-        done = at_floor & (since >= cfg.stagnation_window)
+        done = at_floor & (since >= _STAGNATION_WINDOW)
         if done.all():
             break
 
@@ -314,7 +311,7 @@ def projected_subgradient(
             k_local[advance] = 1.0
             since[advance] = 0
             points[advance] = best_pt[advance]
-            scale = c0 * _STAGE_DECAY**stage
+            scale = w * _STAGE_DECAY**stage
             at_floor = stage >= _N_STAGES - 1
 
     idx = int(np.argmin(best_val))
@@ -327,10 +324,7 @@ def projected_subgradient(
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
+    # largest rational g with a/g and b/g integers; a, b > 0
     common = math.lcm(a.denominator, b.denominator)
     return Fraction(
         math.gcd(a.numerator * (common // a.denominator),
@@ -360,7 +354,6 @@ def _rationalize(point: Sequence[float], inst: Instance) -> tuple[Fraction, ...]
 def verify_conjecture(
     inst: Instance,
     cfg: SubgradientConfig | None = None,
-    tolerance: float = 1e-6,
     grid_cap: int = 200_000,
     resolution: int | None = None,
 ) -> VerifyReport:
@@ -391,10 +384,10 @@ def verify_conjecture(
     gap = oracle_val - float(constructed)
     if grid_exact is not None and grid_exact < constructed:
         status = VIOLATED
-    elif gap < -10 * tolerance:
+    elif gap < -10 * _VERIFY_TOL:
         exact = eval_f(_rationalize(oracle_pt, inst), inst.x)
         status = VIOLATED if exact < constructed else INCONCLUSIVE
-    elif gap < -tolerance:
+    elif gap < -_VERIFY_TOL:
         status = INCONCLUSIVE
     elif not sub.converged:
         status = INCONCLUSIVE

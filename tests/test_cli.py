@@ -166,6 +166,22 @@ class TestSweep:
             oracle = float(row["objective_oracle"])
             assert oracle == pytest.approx(float(F(row["objective_closed"])), abs=1e-6)
 
+    def test_with_oracle_reaches_optimum_from_construction(self, capsys, tmp_path):
+        # from random starts alone the descent stops near 41.547 here,
+        # 0.13 above the optimum 497/12, and still reports convergence
+        out_path = tmp_path / "oracle19.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "sweep", "--n-from", "19", "--n-to", "19", "-x", "1",
+            "--w-from", "35/12", "--w-to", "35/12", "--w-step", "1",
+            "--output", str(out_path), "--with-oracle",
+        )
+        assert code == 0
+        with out_path.open() as handle:
+            (row,) = list(csv.DictReader(handle))
+        closed = float(F(row["objective_closed"]))
+        assert abs(float(row["objective_oracle"]) - closed) <= 1e-6
+
 
 class TestVariance:
     def test_example(self, capsys):

@@ -17,7 +17,6 @@ from extopt import (
     solve_combinatorial,
 )
 from extopt.combinatorial import (
-    GapProfile,
     a_value,
     build_gamma_member,
     delta_search,
@@ -201,6 +200,36 @@ class TestDeltaSearch:
             for parity in (0, 1):
                 assert len([d for d in ints if d % 2 == parity]) <= bound
 
+    def test_large_n_candidates_are_first_sign_changes(self):
+        # each class candidate is the first delta of its parity with phi > 0,
+        # or the class top when phi(top - 2) <= 0; delta* is the better one
+        rng = random.Random(12)
+        for _ in range(150):
+            n = rng.randint(100, 5000)
+            x = F(rng.randint(1, 40), rng.randint(1, 13))
+            m = rng.randint(1, n - 1)
+            i = inst(n, x, x * (m + F(rng.randint(0, 11), 12)))
+            cert = delta_search(i)
+            hi = n + 1 - m
+            for parity, d in ((1, cert.delta1), (2, cert.delta2)):
+                top = hi - (hi - parity) % 2
+                assert d % 2 == parity % 2 and parity <= d <= top
+                if d < top:
+                    assert phi(i, d) > 0
+                below = d - 2
+                assert below < parity or phi(i, below) <= 0
+            assert (cert.a_delta1, cert.a_delta2) == (
+                a_value(i, cert.delta1), a_value(i, cert.delta2)
+            )
+            assert a_value(i, cert.delta_star) == min(cert.a_delta1, cert.a_delta2)
+
+    @pytest.mark.parametrize(
+        "n,x,w,expected",
+        [(2, "1", "13/12", True), (9, "1.1", "2.2", False), (7, "1", "2.2", False)],
+    )
+    def test_used_fallback_reports_window_miss(self, n, x, w, expected):
+        assert delta_search(inst(n, x, w)).used_fallback is expected
+
     def test_m_zero_is_rejected(self):
         with pytest.raises(ValidationError):
             delta_search(inst(4, 1, "0.5"))
@@ -379,20 +408,6 @@ class TestEnumerateAgainstDefinition:
         for delta in range(1, i.n + 2):
             expected = sorted(c for c in set(candidates) if _is_gamma_member(c, i, delta))
             assert enumerate_gamma(i, delta) == expected
-
-
-class TestGapProfile:
-    def test_valid_profile(self):
-        profile = GapProfile(gaps=(3, 2, 3), t=0)
-        assert profile.delta == 3
-
-    def test_invalid_profiles(self):
-        with pytest.raises(ValidationError):
-            GapProfile(gaps=(2, 3, 3), t=0)  # t not maximal
-        with pytest.raises(ValidationError):
-            GapProfile(gaps=(4, 1, 3), t=0)  # others differ by 2
-        with pytest.raises(ValidationError):
-            GapProfile(gaps=(), t=0)
 
 
 class TestSolveCombinatorial:

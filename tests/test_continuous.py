@@ -1,5 +1,6 @@
 """Equidistant and duo-equidistant continuous solvers."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -183,6 +184,24 @@ class TestBuildDuo:
         assert sorted(set(duo.gap_y)) in ([pair.tau_l], [pair.tau_l, pair.tau_u], [pair.tau_u])
         positions = [k + 1 for k, e in enumerate(duo.v_y) if e > 0]
         assert len(positions) == i.m
+
+    def test_y_layer_is_strict_or_canonical(self):
+        # the y-layer either interleaves strictly with the r-layer or, when no
+        # arrangement does, is the canonical short-gaps-first profile
+        strict = fallback = 0
+        for n in range(2, 121):
+            for m in range(0, n):
+                duo = build_duo(inst(n, 1, m + F(1, 3)))
+                canonical = canonical_gap_profiles(n, m)[0]
+                assert sorted(duo.gap_y) == list(canonical)
+                sums_y = list(itertools.accumulate(duo.gap_y))
+                sums_r = list(itertools.accumulate(duo.gap_r))
+                if all(sums_r[k] < sums_y[k] < sums_r[k + 1] for k in range(m)):
+                    strict += 1
+                else:
+                    assert duo.gap_y == canonical
+                    fallback += 1
+        assert strict and fallback
 
     def test_wrong_branch(self):
         with pytest.raises(ValidationError):

@@ -210,8 +210,6 @@ class TestProjectedSubgradient:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             projected_subgradient(inst(4, 1, 1), SubgradientConfig(max_iters=0))
-        with pytest.raises(ValidationError):
-            projected_subgradient(inst(4, 1, 1), SubgradientConfig(step_scale=-1.0))
 
     @pytest.mark.parametrize(
         "n,w,restarts,iterations",
