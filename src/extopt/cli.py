@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
@@ -143,15 +144,16 @@ def _sweep_rows(args: argparse.Namespace) -> list[tuple[int, Fraction]]:
     if w_step <= 0:
         raise ValidationError("--w-step must be positive")
     cap = args.cap if args.cap is not None else 100_000
+    # grid point k >= 0 is w_from + k*w_step; the rows are the k with
+    # w <= w_to and 0 < w < n*x, so points outside the domain cost nothing
+    first = max(0, math.floor(-w_from / w_step) + 1)
+    last = math.floor((w_to - w_from) / w_step)
     rows: list[tuple[int, Fraction]] = []
     for n in range(args.n_from, args.n_to + 1):
-        w = w_from
-        while w <= w_to:
-            if 0 < w < n * x:
-                rows.append((n, w))
-                if len(rows) > cap:
-                    raise SizeCapError(f"sweep would exceed {cap} instances")
-            w += w_step
+        top = min(last, math.ceil((n * x - w_from) / w_step) - 1)
+        if len(rows) + max(0, top - first + 1) > cap:
+            raise SizeCapError(f"sweep would exceed {cap} instances")
+        rows.extend((n, w_from + k * w_step) for k in range(first, top + 1))
     return rows
 
 

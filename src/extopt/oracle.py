@@ -13,6 +13,7 @@ on its own, candidate violations are re-evaluated in exact arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -109,21 +110,19 @@ def brute_force_combinatorial(
     return vector, Fraction(value(best), denom)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def grid_search(
     inst: Instance, resolution: int, cap: int = 10_000_000
 ) -> tuple[tuple[Fraction, ...], Fraction]:
     """Exact minimum over the lattice of budget compositions in steps of
     w/resolution.  An upper bound on the continuous minimum; tight whenever
-    the optimum lies on the lattice."""
+    the optimum lies on the lattice.
+
+    A depth-first branch and bound over the compositions in lexicographic
+    order.  Fixing part d adds the shortfall of the intervals that end after
+    it; every term is nonnegative, so a prefix whose partial sum reaches the
+    best value so far is pruned, and ties go to the lexicographically first
+    minimizer.  ``cap`` bounds the size of the whole lattice.
+    """
     if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
         raise ValidationError(f"resolution must be a positive integer, got {resolution!r}")
     n = inst.n
@@ -135,12 +134,42 @@ def grid_search(
     x_s = int(inst.x * denom)
     u_s = int(step * denom)
 
-    def value(comp: tuple[int, ...]) -> int:
-        return _shortfall([c * u_s for c in itertools.accumulate(comp, initial=0)], x_s)
-
-    best = min(_compositions(resolution, n), key=value)
-    vector = tuple(c * step for c in best)
-    return vector, Fraction(value(best), denom)
+    # the current path: parts[:d] are fixed, prefix[:d+1] their scaled prefix
+    # sums, acc[k] = prefix[0] + ... + prefix[k-1] and partial[d] the
+    # shortfall of the intervals inside the first d parts
+    parts = [0] * n
+    prefix = [0] * (n + 1)
+    acc = [0] * (n + 2)
+    partial = [0] * (n + 1)
+    best: tuple[int, ...] = ()
+    best_val = math.inf
+    d, c = 0, 0
+    while d >= 0:
+        left = resolution - prefix[d] // u_s
+        if d == n - 1:
+            c = left  # the last part takes the rest
+        if c <= left:
+            end = prefix[d] + c * u_s
+            # intervals [s, d+1) are unsaturated exactly for prefix[s] > end - x
+            s = bisect.bisect_right(prefix, end - x_s, 0, d + 1)
+            val = partial[d] + (d + 1 - s) * (x_s - end) + acc[d + 1] - acc[s]
+            if val < best_val:
+                parts[d] = c
+                if d == n - 1:
+                    best, best_val = tuple(parts), val
+                else:
+                    prefix[d + 1] = end
+                    acc[d + 2] = acc[d + 1] + end
+                    partial[d + 1] = val
+                    d, c = d + 1, 0
+                    continue
+            if d < n - 1:
+                c += 1
+                continue
+        # every value of part d has been tried: back up one part
+        d -= 1
+        c = parts[d] + 1
+    return tuple(c * step for c in best), Fraction(best_val, denom)
 
 
 def subgradient(v: Iterable, x) -> tuple[Fraction, ...]:
@@ -172,57 +201,71 @@ def project_to_simplex(point: Sequence[float], total: float) -> tuple[float, ...
         raise ValidationError(f"total mass must be positive, got {total}")
     arr = np.asarray(point, dtype=float).reshape(1, -1)
     ranks = np.arange(1, arr.shape[1] + 1)
-    return tuple(float(v) for v in _project_rows(arr, float(total), ranks)[0])
+    return tuple(float(v) for v in _project_rows(arr, float(total), ranks, np.arange(1))[0])
 
 
-def _project_rows(points: np.ndarray, total: float, ranks: np.ndarray) -> np.ndarray:
-    # ranks is 1..n, passed in so the descent loop builds it once
+def _project_rows(
+    points: np.ndarray, total: float, ranks: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Project each row onto {v >= 0, sum v = total}.
+
+    ``ranks`` is 1..n and ``rows`` 0..len(points)-1, passed in so the
+    descent loop builds them once.  With u sorted descending, theta_k is
+    (u_1 + ... + u_k - total)/k; the threshold is theta_rho for the number
+    rho of entries u_k above their theta_k.
+    """
     u = np.sort(points, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    cond = u + (total - css) / ranks > 0
-    rho = cond.sum(axis=1)
-    theta = (css[np.arange(len(points)), rho - 1] - total) / rho
-    return np.maximum(points - theta[:, None], 0.0)
+    theta = (np.add.accumulate(u, axis=1) - total) / ranks
+    rho = np.add.reduce(u > theta, axis=1)
+    return np.maximum(points - theta[rows, rho - 1][:, None], 0.0)
 
 
-def _interval_offsets(n: int, rows: int) -> np.ndarray:
-    """Flat offsets into a (rows, n+1) array: the starts of all intervals,
-    then their ends, one column per row.
+def _step_buffers(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index and scratch arrays of a lockstep descent over ``rows`` points.
 
-    Interval [s, e) covers coordinates s..e-1 and has sum prefix[e] - prefix[s].
+    ``offsets`` holds flat offsets into a (rows, n+1) array: the starts of all
+    intervals, then their ends, one column per row.  Interval [s, e) covers
+    coordinates s..e-1 and has sum prefix[e] - prefix[s].  ``prefix`` is the
+    (rows, n+1) prefix-sum buffer, its first column zero, and ``weights`` has
+    one entry per offset.
     """
     starts, ends = np.triu_indices(n + 1, k=1)
     base = (n + 1) * np.arange(rows)
-    return np.concatenate([starts, ends])[:, None] + base
+    offsets = np.concatenate([starts, ends])[:, None] + base
+    return offsets, np.zeros((rows, n + 1)), np.empty(offsets.shape)
 
 
 def _shortfall_and_gradient(
-    points: np.ndarray, x: float, tie_eps: float, offsets: np.ndarray, prefix: np.ndarray
+    points: np.ndarray,
+    x: float,
+    tie_eps: float,
+    offsets: np.ndarray,
+    prefix: np.ndarray,
+    weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Objective values and subgradients of the rows of ``points``.
+    """Objective values and subgradients of the rows of ``points``, on the
+    buffers of `_step_buffers`.
 
-    ``prefix`` is a (rows, n+1) buffer whose first column is zero.  The
-    gradient is a difference array: every interval adds its doubled weight
-    (2 unsaturated, 1 within ``tie_eps`` of saturation, 0 saturated) at its
-    start and subtracts it at its end, so a running sum gives twice each
-    coordinate's coverage.  The weights are integers, so every partial sum is
-    exact, and O(n^2) work and memory suffice.
+    The gradient is a difference array: every interval adds its doubled
+    weight (2 unsaturated, 1 within ``tie_eps`` of saturation, 0 saturated)
+    at its start and subtracts it at its end, so a running sum gives twice
+    each coordinate's coverage.  The weights are integers, so every partial
+    sum is exact, and O(n^2) work and memory suffice.
     """
     n = points.shape[1]
-    np.cumsum(points, axis=1, out=prefix[:, 1:])
+    half = len(offsets) // 2
+    np.add.accumulate(points, axis=1, out=prefix[:, 1:])
     # intervals along axis 0, rows along axis 1: the layout fixes the order
     # in which the sum over intervals adds up, and so the float f values
     bounds = prefix.take(offsets)
-    half = len(offsets) // 2
-    diff = x - (bounds[half:] - bounds[:half])
-    fvals = np.maximum(diff, 0.0).sum(axis=0)
-    doubled = (diff >= -tie_eps).astype(float) + (diff > tie_eps)
-    counts = np.bincount(
-        offsets.ravel(),
-        weights=np.concatenate([doubled, -doubled]).ravel(),
-        minlength=prefix.size,
-    ).reshape(prefix.shape)
-    grad = np.cumsum(counts[:, :n], axis=1)
+    gaps = bounds[half:]
+    gaps -= bounds[:half]
+    np.subtract(x, gaps, out=gaps)
+    fvals = np.add.reduce(np.maximum(gaps, 0.0), axis=0)
+    np.add(gaps >= -tie_eps, gaps > tie_eps, out=weights[:half], dtype=float)
+    np.negative(weights[:half], out=weights[half:])
+    counts = np.bincount(offsets.ravel(), weights=weights.ravel(), minlength=prefix.size)
+    grad = np.add.accumulate(counts.reshape(prefix.shape)[:, :n], axis=1)
     grad *= -0.5
     return fvals, grad
 
@@ -262,16 +305,17 @@ def projected_subgradient(
     budget = max(1, cfg.max_iters // restarts)
     rng = np.random.default_rng(cfg.seed)
 
-    offsets = _interval_offsets(n, restarts)
-    prefix = np.zeros((restarts, n + 1))
+    buffers = _step_buffers(n, restarts)
     ranks = np.arange(1, n + 1)
+    rows = np.arange(restarts)
 
     points = rng.exponential(size=(restarts, n))
     points = w * points / points.sum(axis=1, keepdims=True)
     if start is not None:
         if len(start) != n:
             raise ValidationError(f"start point must have {n} entries, got {len(start)}")
-        points[0] = _project_rows(np.asarray(start, dtype=float).reshape(1, -1), w, ranks)[0]
+        start_row = np.asarray(start, dtype=float).reshape(1, -1)
+        points[0] = _project_rows(start_row, w, ranks, rows[:1])[0]
 
     best_val = np.full(restarts, np.inf)
     best_pt = points.copy()
@@ -280,13 +324,15 @@ def projected_subgradient(
     at_floor = stage >= _N_STAGES - 1
     k_local = np.ones(restarts)
     since = np.zeros(restarts, dtype=int)
-    done = np.zeros(restarts, dtype=bool)
     tie_eps = 1e-12 * max(1.0, x)
+    # since and k_local grow by one a step or reset, so the stage and the
+    # convergence tests wait for the first step at which a row could pass
+    advance_test = min(_STAGE_WINDOW, _STAGE_MAX_ITERS - 1)
+    done_test = math.inf
+    converged = False
 
-    iterations = 0
-    for _ in range(budget):
-        iterations += 1
-        fvals, grad = _shortfall_and_gradient(points, x, tie_eps, offsets, prefix)
+    for iterations in range(1, budget + 1):
+        fvals, grad = _shortfall_and_gradient(points, x, tie_eps, *buffers)
 
         better = fvals < best_val
         np.copyto(best_pt, points, where=better[:, None])
@@ -295,30 +341,44 @@ def projected_subgradient(
         since += 1
         since[improved] = 0
 
-        done = at_floor & (since >= _STAGNATION_WINDOW)
-        if done.all():
-            break
+        if iterations >= done_test:  # finite once every row is at the floor
+            if (since >= _STAGNATION_WINDOW).all():
+                converged = True
+                break
+            done_test = iterations + _STAGNATION_WINDOW - since.min()
 
-        norms = np.sqrt((grad * grad).sum(axis=1))
-        norms[norms == 0.0] = 1.0
+        norms = np.sqrt(np.add.reduce(grad * grad, axis=1))
+        if not norms.all():
+            norms[norms == 0.0] = 1.0
         alpha = scale / np.sqrt(k_local)
-        points = _project_rows(points - (alpha / norms)[:, None] * grad, w, ranks)
+        alpha /= norms
+        grad *= alpha[:, None]
+        points = _project_rows(points - grad, w, ranks, rows)
         k_local += 1
 
-        advance = ((since >= _STAGE_WINDOW) | (k_local >= _STAGE_MAX_ITERS)) & ~at_floor
-        if advance.any():
-            stage[advance] += 1
-            k_local[advance] = 1.0
-            since[advance] = 0
-            points[advance] = best_pt[advance]
-            scale = w * _STAGE_DECAY**stage
-            at_floor = stage >= _N_STAGES - 1
+        if iterations >= advance_test:
+            advance = ((since >= _STAGE_WINDOW) | (k_local >= _STAGE_MAX_ITERS)) & ~at_floor
+            if advance.any():
+                stage[advance] += 1
+                k_local[advance] = 1.0
+                since[advance] = 0
+                points[advance] = best_pt[advance]
+                scale = w * _STAGE_DECAY**stage
+                at_floor = stage >= _N_STAGES - 1
+                if at_floor.all():
+                    done_test = iterations + 1
+            climbing = ~at_floor
+            if climbing.any():
+                wait = np.minimum(_STAGE_WINDOW - since, _STAGE_MAX_ITERS - k_local)
+                advance_test = iterations + wait[climbing].min()
+            else:
+                advance_test = math.inf
 
     idx = int(np.argmin(best_val))
     return SubgradientResult(
         point=tuple(float(v) for v in best_pt[idx]),
         value=float(best_val[idx]),
-        converged=bool(done.all()),
+        converged=converged,
         iterations=iterations * restarts,
     )
 

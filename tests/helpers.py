@@ -6,8 +6,11 @@ package: plain triple loops over interval slices, exact rationals only.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+
+import numpy as np
 
 
 def naive_f(v, x) -> Fraction:
@@ -45,6 +48,35 @@ def naive_strict_pairs(v, x) -> Fraction:
             if x > s:
                 total += x - s
     return total
+
+
+def naive_grid(inst, resolution: int) -> tuple[list[tuple[Fraction, ...]], Fraction]:
+    """Every minimizer of ``naive_f`` over the compositions of the budget in
+    steps of w/resolution, in lexicographic order, and the minimum."""
+    step = inst.w / resolution
+    best, minimizers = None, []
+    # the last part takes the rest, so the heads run in lexicographic order
+    for head in itertools.product(range(resolution + 1), repeat=inst.n - 1):
+        if sum(head) > resolution:
+            continue
+        vector = tuple(c * step for c in head + (resolution - sum(head),))
+        value = naive_f(vector, inst.x)
+        if best is None or value < best:
+            best, minimizers = value, [vector]
+        elif value == best:
+            minimizers.append(vector)
+    return minimizers, best
+
+
+def reference_project_rows(points: np.ndarray, total: float) -> np.ndarray:
+    """Row-wise simplex projection in the textbook form: rho is the number of
+    sorted entries u_k with u_k + (total - css_k)/k > 0."""
+    u = np.sort(points, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    cond = u + (total - css) / np.arange(1, points.shape[1] + 1) > 0
+    rho = cond.sum(axis=1)
+    theta = (css[np.arange(len(points)), rho - 1] - total) / rho
+    return np.maximum(points - theta[:, None], 0.0)
 
 
 def random_fraction(rng: random.Random, max_num: int = 12, max_den: int = 7) -> Fraction:

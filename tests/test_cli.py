@@ -1,15 +1,18 @@
 """End-to-end behaviour of the command-line interface."""
 
+import argparse
 import csv
 import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from extopt.cli import main
+from extopt import SizeCapError
+from extopt.cli import _sweep_rows, main
 
 F = Fraction
 
@@ -150,6 +153,53 @@ class TestSweep:
             "--output", str(tmp_path / "big.csv"), "--cap", "100",
         )
         assert code == 2
+
+    def test_rows_match_a_walk_of_the_grid(self):
+        # the walk adds w_step one grid point at a time, as the CLI once did
+        rng = random.Random(11)
+        for _ in range(300):
+            x = F(rng.randint(1, 12), rng.randint(1, 5))
+            step = F(rng.randint(1, 9), rng.randint(1, 7))
+            w_from = F(rng.randint(-30, 30), rng.randint(1, 6))
+            w_to = w_from + F(rng.randint(-5, 60), rng.randint(1, 4))
+            n_from = rng.randint(0, 6)
+            n_to = n_from + rng.randint(-1, 4)
+            cap = rng.choice([5, 40, 100_000])
+            walked = []
+            try:
+                for n in range(n_from, n_to + 1):
+                    w = w_from
+                    while w <= w_to:
+                        if 0 < w < n * x:
+                            walked.append((n, w))
+                            if len(walked) > cap:
+                                raise SizeCapError("cap")
+                        w += step
+            except SizeCapError:
+                walked = None
+            args = argparse.Namespace(
+                x=str(x), w_from=str(w_from), w_to=str(w_to), w_step=str(step),
+                n_from=n_from, n_to=n_to, cap=cap,
+            )
+            if walked is None:
+                with pytest.raises(SizeCapError):
+                    _sweep_rows(args)
+            else:
+                assert _sweep_rows(args) == walked
+
+    def test_far_range_outside_the_domain_returns_at_once(self, capsys, tmp_path):
+        # about 10^9 grid points, of which only 0 < w < 2 are rows
+        out_path = tmp_path / "far.csv"
+        doc = run_json(
+            capsys,
+            "sweep", "--n-from", "2", "--n-to", "2", "-x", "1",
+            "--w-from", "-5000000", "--w-to", "5000000", "--w-step", "1/100",
+            "--output", str(out_path),
+        )
+        assert doc["result"]["rows"] == 199
+        with out_path.open() as handle:
+            ws = [F(row["w"]) for row in csv.DictReader(handle)]
+        assert ws == [F(k, 100) for k in range(1, 200)]
 
     def test_with_oracle_column(self, capsys, tmp_path):
         out_path = tmp_path / "oracle.csv"

@@ -1,5 +1,6 @@
 """Brute-force, lattice, and subgradient oracles plus the verify harness."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -24,12 +25,15 @@ from extopt import (
 )
 from extopt.model import as_rational
 from extopt.oracle import (
-    _interval_offsets,
+    _project_rows,
     _shortfall_and_gradient,
+    _step_buffers,
     duo_lattice_resolution,
     project_to_simplex,
     subgradient,
 )
+from helpers import naive_grid, reference_project_rows
+
 F = Fraction
 
 
@@ -98,6 +102,32 @@ class TestGridSearch:
             cont = solve_continuous(i)
             assert best >= cont.objective
 
+    def test_matches_naive_reference(self):
+        # seeded instances, n <= 6 and resolution <= 12; ties go to the
+        # lexicographically first minimizer of the plain enumeration
+        rng = random.Random(31)
+        tied = 0
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            resolution = rng.randint(1, 12)
+            while math.comb(resolution + n - 1, n - 1) > 2000:
+                resolution -= 1
+            x = F(rng.randint(1, 12), rng.randint(1, 4))
+            w = n * x * F(rng.randint(1, 23), 24)
+            i = Instance(n, x, w)
+            minimizers, value = naive_grid(i, resolution)
+            assert grid_search(i, resolution) == (minimizers[0], value)
+            tied += len(minimizers) > 1
+        assert tied > 10
+
+    def test_large_n_does_not_recurse(self):
+        # n = 1500 vertices: the first vertex with the fewest intervals
+        # missing it sits at index 750, and w > x saturates every other one
+        n = 1500
+        vec, best = grid_search(inst(n, 1, "1.5"), 1)
+        assert vec == tuple(F(3, 2) if k == 750 else 0 for k in range(n))
+        assert best == 750 * 751 // 2 + 749 * 750 // 2
+
     def test_validation_and_cap(self):
         with pytest.raises(ValidationError):
             grid_search(inst(3, 1, 1), 0)
@@ -145,7 +175,7 @@ class TestSubgradientExact:
                 vs = [[F(rng.randint(0, 6), 4) for _ in range(n)] for _ in range(rows)]
                 fvals, grad = _shortfall_and_gradient(
                     np.array(vs, dtype=float), float(x), 1e-12 * max(1.0, float(x)),
-                    _interval_offsets(n, rows), np.zeros((rows, n + 1)),
+                    *_step_buffers(n, rows),
                 )
                 for row, v in enumerate(vs):
                     exact = subgradient(v, x)
@@ -172,6 +202,25 @@ class TestSimplexProjection:
                     q = [b - a for a, b in zip([0.0] + cuts, cuts + [w])]
                     alt = sum((a - b) ** 2 for a, b in zip(p, q))
                     assert dist <= alt + 1e-9
+
+    def test_rows_match_reference_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        cases = []
+        for n in (1, 2, 3, 7, 19, 40):
+            for rows in (1, 8):
+                total = float(rng.uniform(0.5, 5.0))
+                points = rng.normal(size=(rows, n)) * total
+                points[rng.random(size=points.shape) < 0.3] = 0.0
+                if n > 1:
+                    points[:, -1] = points[:, 0]  # duplicated entries
+                on_simplex = rng.exponential(size=(rows, n))
+                on_simplex *= total / on_simplex.sum(axis=1, keepdims=True)
+                cases += [(points, total), (np.zeros((rows, n)), total), (on_simplex, total)]
+                cases.append((np.round(points * 4) / 4, 2.0))  # ties at dyadic values
+        for points, total in cases:
+            rows, n = points.shape
+            got = _project_rows(points, total, np.arange(1, n + 1), np.arange(rows))
+            assert np.array_equal(got, reference_project_rows(points, total))
 
     def test_feasible_point_is_fixed(self):
         point = (0.25, 0.5, 0.25)
@@ -226,6 +275,19 @@ class TestProjectedSubgradient:
         start = [float(e) for e in solve_continuous(i).vector]
         res = projected_subgradient(i, SubgradientConfig(seed=1, restarts=restarts), start=start)
         assert (res.iterations, res.converged) == (iterations, True)
+
+    def test_trajectory_pin_point_and_value(self):
+        # the n = 19 run of test_trajectory_pin, its value and point recorded
+        # with the projection in the form of helpers.reference_project_rows
+        i = Instance(19, F(1), 2 + F(11, 12))
+        start = [float(e) for e in solve_continuous(i).vector]
+        res = projected_subgradient(i, SubgradientConfig(seed=1, restarts=8), start=start)
+        big, small = 0.9166666666666665, 0.08333333333333325
+        point = [0.0] * 19
+        point[4] = point[9] = point[14] = big
+        point[5] = point[12] = small
+        assert res.value == 41.41666666666665
+        assert res.point == tuple(point)
 
     def test_bounded_memory_at_n_240(self):
         # a dense interval-by-coordinate matrix alone would take 53 MiB here
