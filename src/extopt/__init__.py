@@ -5,7 +5,8 @@ nonnegative vector; minimizing it over a fixed coordinate budget yields the
 sharp lower end of the variance range of queueing externalities.  The
 package provides closed-form minimizers over structured placements and over
 the full simplex slab, independent brute-force/lattice/subgradient oracles,
-and a verification harness for the construction's open regime.
+and a verification harness that decides the construction's open regime by an
+exact LP dual certificate.
 """
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ Rationals are serialized as exact "p/q" strings so reports round-trip.
 
 Exit codes: 0 success/CONFIRMED, 1 internal error, 2 invalid input or cap
 exceeded, 3 trivial or unstable regime, 4 INCONCLUSIVE verification, 5
-VIOLATED verification.
+VIOLATED verification.  verify decides by an exact certificate, so it returns
+0 or 5; 4 stays reserved.
 """
 
 from __future__ import annotations
@@ -122,15 +123,21 @@ def _subgradient_config(args: argparse.Namespace) -> SubgradientConfig:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _make_instance(args)
-    cfg = _subgradient_config(args)
-    grid_cap = args.cap if args.cap is not None else 200_000
-    report = verify_conjecture(inst, cfg, grid_cap=grid_cap, resolution=args.resolution)
-    result = {
+    report = verify_conjecture(inst)
+    cert = report.certificate
+    result: dict[str, Any] = {
         "constructed_objective": _frac(report.constructed_objective),
         "oracle_objective": report.oracle_objective,
         "gap": report.gap,
         "converged": report.converged,
         "oracle_minimizer": list(report.oracle_minimizer),
+        "certificate": None if cert is None else {
+            "mu": cert.mu,
+            "lower_bound": _frac(report.oracle_value),
+            "tight_intervals": cert.tight_count,
+            "alpha_one_intervals": cert.unsaturated_count + len(cert.tight),
+            "unsaturated_intervals": cert.unsaturated_count,
+        },
     }
     _emit(_envelope("verify", _instance_dict(inst), result, report.status))
     return _STATUS_EXIT[report.status]
@@ -138,6 +145,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _sweep_rows(args: argparse.Namespace) -> list[tuple[int, Fraction]]:
     x = as_rational(args.x)
+    if x <= 0:
+        raise ValidationError(f"x must be positive, got {x}")
     w_from = as_rational(args.w_from)
     w_to = as_rational(args.w_to)
     w_step = as_rational(args.w_step)
@@ -197,7 +206,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     cont.status,
                 ]
             )
-    status = PROVEN if statuses <= {PROVEN} else CONJECTURED
+    if not rows:
+        status = INCONCLUSIVE
+    else:
+        status = PROVEN if statuses <= {PROVEN} else CONJECTURED
     spec = {
         "n": f"{args.n_from}..{args.n_to}",
         "x": args.x,
@@ -250,10 +262,10 @@ def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-w", required=True, help="total mass budget, 0 < w < n*x")
 
 
-def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-iters", type=int, default=None, help="subgradient budget")
-    parser.add_argument("--seed", type=int, default=None, help="oracle RNG seed")
-    parser.add_argument("--restarts", type=int, default=None, help="random restarts")
+def _add_oracle_flags(parser: argparse.ArgumentParser, when: str) -> None:
+    parser.add_argument("--max-iters", type=int, default=None, help=f"subgradient budget{when}")
+    parser.add_argument("--seed", type=int, default=None, help=f"oracle RNG seed{when}")
+    parser.add_argument("--restarts", type=int, default=None, help=f"random restarts{when}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,12 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_verify = sub.add_parser("verify", help="check the duo construction against the oracles")
+    p_verify = sub.add_parser(
+        "verify", help="prove the duo construction optimal, or find a better point, exactly"
+    )
     _add_instance_flags(p_verify)
-    _add_oracle_flags(p_verify)
+    # the float oracles these configured no longer decide; the flags still
+    # parse so that existing command lines keep working
+    ignored = " (ignored: verify decides exactly)"
+    _add_oracle_flags(p_verify, ignored)
     p_verify.add_argument("--resolution", type=int, default=None,
-                          help="explicit lattice resolution for the exact grid oracle")
-    p_verify.add_argument("--cap", type=int, default=None, help="lattice point cap")
+                          help=f"lattice resolution{ignored}")
+    p_verify.add_argument("--cap", type=int, default=None, help=f"lattice point cap{ignored}")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="batch solve over ranges, write a CSV table")
@@ -294,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--with-oracle", action="store_true",
                          help="also run the subgradient oracle per row (slow)")
     p_sweep.add_argument("--cap", type=int, default=None, help="instance count cap")
-    _add_oracle_flags(p_sweep)
+    _add_oracle_flags(p_sweep, " (with --with-oracle)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_var = sub.add_parser("variance", help="externalities mean and variance range")

@@ -22,4 +22,5 @@ class SizeCapError(ExtoptError, ValueError):
 
 
 class ConstructionError(ExtoptError, RuntimeError):
-    """A closed-form construction could not be realized (internal invariant violation)."""
+    """A closed-form construction could not be realized, or an exact self-check
+    of a result failed (internal invariant violation)."""

@@ -1,14 +1,17 @@
 """Independent ground-truth engines for the closed-form solvers.
 
-Three oracles, none of which shares code with the gap-profile formulas:
+Besides the exact LP dual certificate of `extopt.certificate`, three oracles
+that share no code with the gap-profile formulas:
 
 * exhaustive enumeration of the structured placements (exact, scaled ints),
 * an exact lattice search over compositions of the budget,
 * a floating-point projected subgradient method over the simplex slab.
 
-`verify_conjecture` wires them together into the harness that checks the
-duo construction outside its proven regime; a float never refutes anything
-on its own, candidate violations are re-evaluated in exact arithmetic.
+`verify_conjecture` checks the duo construction outside its proven regime.
+Its status rests on the dual certificate alone, checked in exact integers;
+floats never decide.  The lattice and subgradient oracles stay available as
+independent references.  Only the subgradient oracle uses numpy, which it
+imports on first use, so the exact paths never load it.
 """
 
 from __future__ import annotations
@@ -18,14 +21,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
-
+from .certificate import DualCertificate, check_certificate, dual_certificate
 from .continuous import solve_continuous
-from .errors import SizeCapError, ValidationError
+from .errors import ConstructionError, SizeCapError, ValidationError
 from .model import Instance, _scaled_prefix, _shortfall, eval_f
-from .report import CONFIRMED, INCONCLUSIVE, VIOLATED
+from .report import CONFIRMED, VIOLATED
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -55,20 +60,38 @@ class SubgradientResult:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of checking the duo construction against the oracles.
+    """Outcome of checking the duo construction with the dual certificate.
 
-    CONFIRMED needs the oracle to sit no lower than the construction (up to
-    1e-6); VIOLATED needs a strictly better point that survives exact
-    re-evaluation; anything murky is INCONCLUSIVE.
+    CONFIRMED: the exact checker accepted a certificate whose lower bound
+    ``oracle_value`` equals the construction's objective, so the duo vector
+    ``oracle_point`` is optimal.  VIOLATED: ``oracle_point`` is a rational
+    point summing to w whose exact objective ``oracle_value`` is below the
+    construction's.  The float views serve the JSON report.
     """
 
     instance: Instance
     constructed_objective: Fraction
-    oracle_objective: float
-    gap: float
     status: str
-    oracle_minimizer: tuple[float, ...]
-    converged: bool
+    oracle_point: tuple[Fraction, ...]
+    oracle_value: Fraction
+    certificate: DualCertificate | None
+
+    @property
+    def oracle_objective(self) -> float:
+        return float(self.oracle_value)
+
+    @property
+    def gap(self) -> float:
+        return float(self.oracle_value - self.constructed_objective)
+
+    @property
+    def oracle_minimizer(self) -> tuple[float, ...]:
+        return tuple(float(e) for e in self.oracle_point)
+
+    @property
+    def converged(self) -> bool:
+        """Always true: both statuses rest on exact evidence."""
+        return True
 
 
 def brute_force_combinatorial(
@@ -199,6 +222,8 @@ def project_to_simplex(point: Sequence[float], total: float) -> tuple[float, ...
     """Euclidean projection onto {v >= 0, sum v = total} by sort and threshold."""
     if total <= 0:
         raise ValidationError(f"total mass must be positive, got {total}")
+    import numpy as np
+
     arr = np.asarray(point, dtype=float).reshape(1, -1)
     ranks = np.arange(1, arr.shape[1] + 1)
     return tuple(float(v) for v in _project_rows(arr, float(total), ranks, np.arange(1))[0])
@@ -214,6 +239,8 @@ def _project_rows(
     (u_1 + ... + u_k - total)/k; the threshold is theta_rho for the number
     rho of entries u_k above their theta_k.
     """
+    import numpy as np
+
     u = np.sort(points, axis=1)[:, ::-1]
     theta = (np.add.accumulate(u, axis=1) - total) / ranks
     rho = np.add.reduce(u > theta, axis=1)
@@ -229,6 +256,8 @@ def _step_buffers(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     (rows, n+1) prefix-sum buffer, its first column zero, and ``weights`` has
     one entry per offset.
     """
+    import numpy as np
+
     starts, ends = np.triu_indices(n + 1, k=1)
     base = (n + 1) * np.arange(rows)
     offsets = np.concatenate([starts, ends])[:, None] + base
@@ -252,6 +281,8 @@ def _shortfall_and_gradient(
     each coordinate's coverage.  The weights are integers, so every partial
     sum is exact, and O(n^2) work and memory suffice.
     """
+    import numpy as np
+
     n = points.shape[1]
     half = len(offsets) // 2
     np.add.accumulate(points, axis=1, out=prefix[:, 1:])
@@ -276,7 +307,6 @@ _STAGE_WINDOW = 60
 _STAGE_MAX_ITERS = 300
 _IMPROVEMENT_TOL = 1e-7
 _STAGNATION_WINDOW = 1000
-_VERIFY_TOL = 1e-6
 
 
 def projected_subgradient(
@@ -291,9 +321,11 @@ def projected_subgradient(
     warm-restarted stages.  Deterministic for a fixed seed.
 
     ``start``, when given, replaces the first restart's random initial point
-    (projected onto the feasible set); the verification harness uses it to
-    attempt descent from a candidate optimum.
+    (projected onto the feasible set), for instance to attempt descent from
+    a candidate optimum.
     """
+    import numpy as np
+
     if cfg is None:
         cfg = SubgradientConfig()
     if cfg.max_iters < 1 or cfg.restarts < 1:
@@ -402,63 +434,30 @@ def duo_lattice_resolution(inst: Instance) -> int:
     return int(inst.w / grain)
 
 
-def _rationalize(point: Sequence[float], inst: Instance) -> tuple[Fraction, ...]:
-    # snap an oracle point back into the feasible set with bounded denominators
-    rat = [max(Fraction(0), Fraction(p).limit_denominator(10**6)) for p in point]
-    total = sum(rat, Fraction(0))
-    if total > inst.w:
-        rat = [e * inst.w / total for e in rat]
-    return tuple(rat)
+def verify_conjecture(inst: Instance, cfg: SubgradientConfig | None = None) -> VerifyReport:
+    """Decide in exact arithmetic whether the duo construction is optimal.
 
-
-def verify_conjecture(
-    inst: Instance,
-    cfg: SubgradientConfig | None = None,
-    grid_cap: int = 200_000,
-    resolution: int | None = None,
-) -> VerifyReport:
-    """Compare the duo construction with the numerical and lattice oracles.
-
-    A float value below the construction is only reported as VIOLATED after
-    the rationalized oracle point (or an exact lattice point) beats the
-    construction in exact arithmetic.
+    The status comes from `dual_certificate` alone: CONFIRMED once
+    `check_certificate` accepts its certificate, VIOLATED with the strictly
+    better point it finds otherwise.  A rejected certificate is a failed
+    self-check and raises ConstructionError.  ``cfg`` configured the float
+    oracle that decided before the certificate did; it is accepted and
+    ignored.
     """
     report = solve_continuous(inst)
-    constructed = report.objective
-    # one restart descends from the candidate itself (the refutation attempt),
-    # the rest search from random points
-    sub = projected_subgradient(inst, cfg, start=[float(e) for e in report.vector])
-    oracle_val = sub.value
-    oracle_pt = sub.point
-
-    grid_exact: Fraction | None = None
-    if resolution is None:
-        resolution = duo_lattice_resolution(inst)
-    if resolution >= 1 and math.comb(resolution + inst.n - 1, inst.n - 1) <= grid_cap:
-        grid_vec, grid_val = grid_search(inst, resolution, cap=grid_cap)
-        grid_exact = grid_val
-        if float(grid_val) < oracle_val:
-            oracle_val = float(grid_val)
-            oracle_pt = tuple(float(e) for e in grid_vec)
-
-    gap = oracle_val - float(constructed)
-    if grid_exact is not None and grid_exact < constructed:
-        status = VIOLATED
-    elif gap < -10 * _VERIFY_TOL:
-        exact = eval_f(_rationalize(oracle_pt, inst), inst.x)
-        status = VIOLATED if exact < constructed else INCONCLUSIVE
-    elif gap < -_VERIFY_TOL:
-        status = INCONCLUSIVE
-    elif not sub.converged:
-        status = INCONCLUSIVE
+    found = dual_certificate(report.vector, inst)
+    if isinstance(found, DualCertificate):
+        bound = check_certificate(report.vector, inst, found)
+        if bound is None:
+            raise ConstructionError(f"the exact checker rejected the dual certificate of {inst}")
+        status, point, value, cert = CONFIRMED, report.vector, bound, found
     else:
-        status = CONFIRMED
+        status, point, value, cert = VIOLATED, found, eval_f(found, inst.x), None
     return VerifyReport(
         instance=inst,
-        constructed_objective=constructed,
-        oracle_objective=oracle_val,
-        gap=gap,
+        constructed_objective=report.objective,
         status=status,
-        oracle_minimizer=oracle_pt,
-        converged=sub.converged,
+        oracle_point=tuple(point),
+        oracle_value=value,
+        certificate=cert,
     )

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from extopt import SizeCapError
+from extopt import SizeCapError, solve_combinatorial
 from extopt.cli import _sweep_rows, main
 
 F = Fraction
@@ -90,12 +90,38 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["status"] == "CONFIRMED"
 
-    def test_forced_early_stop_exit_4(self, capsys):
+    def test_forced_early_stop_exit_0(self, capsys):
+        # the float oracle's flags still parse but decide nothing
         code, out, _ = run_cli(
             capsys, "verify", "-n", "2", "-x", "1", "-w", "1.5", "--max-iters", "10", "--cap", "0"
         )
-        assert code == 4
-        assert json.loads(out)["status"] == "INCONCLUSIVE"
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "CONFIRMED"
+        assert doc["result"]["converged"] is True
+
+    def test_certificate_block(self, capsys):
+        doc = run_json(capsys, "verify", "-n", "9", "-x", "1", "-w", "2.5", "--seed", "3")
+        cert = doc["result"]["certificate"]
+        assert cert["lower_bound"] == doc["result"]["constructed_objective"] == "10"
+        assert cert["alpha_one_intervals"] - cert["unsaturated_intervals"] <= cert["tight_intervals"]
+        assert doc["result"]["converged"] is True
+
+    def test_violated_exit_5(self, capsys, monkeypatch):
+        # the structured optimum (33/5) in place of the duo vector (32/5)
+        monkeypatch.setattr("extopt.oracle.solve_continuous", solve_combinatorial)
+        code, out, _ = run_cli(capsys, "verify", "-n", "7", "-x", "1", "-w", "2.2")
+        assert code == 5
+        doc = json.loads(out)
+        assert doc["status"] == "VIOLATED" and doc["result"]["certificate"] is None
+        assert doc["result"]["gap"] < 0
+        assert sum(doc["result"]["oracle_minimizer"]) == pytest.approx(2.2)
+
+    def test_failed_self_check_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("extopt.oracle.check_certificate", lambda v, inst, cert: None)
+        code, out, err = run_cli(capsys, "verify", "-n", "7", "-x", "1", "-w", "2.2")
+        assert code == 1 and out == ""
+        assert "ConstructionError" in err
 
 
 class TestSweep:
@@ -135,6 +161,29 @@ class TestSweep:
         assert content.splitlines() == [
             "n,x,w,m,r,delta_star,tau_u1,tau_u2,objective_closed,objective_oracle,status"
         ]
+
+    def test_nonpositive_x_exit_2(self, capsys, tmp_path):
+        for x in ("0", "-1"):
+            code, out, err = run_cli(
+                capsys,
+                "sweep", "--n-from", "2", "--n-to", "3", "-x", x,
+                "--w-from", "1", "--w-to", "2", "--w-step", "1",
+                "--output", str(tmp_path / "table.csv"),
+            )
+            assert code == 2 and out == ""
+            assert "x must be positive" in err
+        assert not (tmp_path / "table.csv").exists()
+
+    def test_empty_sweep_is_inconclusive(self, capsys, tmp_path):
+        # every grid point has w >= n*x
+        doc = run_json(
+            capsys,
+            "sweep", "--n-from", "2", "--n-to", "3", "-x", "1",
+            "--w-from", "5", "--w-to", "6", "--w-step", "1",
+            "--output", str(tmp_path / "table.csv"),
+        )
+        assert doc["result"]["rows"] == 0
+        assert doc["status"] == "INCONCLUSIVE"
 
     def test_unwritable_path_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -317,3 +366,17 @@ class TestConsoleScript:
             capture_output=True, text=True,
         )
         assert proc.returncode == 3
+
+    def test_verify_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "extopt.cli", "verify", "-n", "9", "-x", "1", "-w", "2.5"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["result"]["certificate"]["lower_bound"] == "10"
+
+    def test_exact_paths_do_not_load_numpy(self):
+        probe = "import sys, extopt.cli; extopt.cli.build_parser(); print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

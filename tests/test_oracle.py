@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 from extopt import (
     CONFIRMED,
-    INCONCLUSIVE,
+    VIOLATED,
+    ConstructionError,
     Instance,
     SizeCapError,
     SubgradientConfig,
@@ -24,6 +26,7 @@ from extopt import (
     verify_conjecture,
 )
 from extopt.model import as_rational
+from extopt.certificate import DualCertificate, _max_flow, check_certificate, dual_certificate
 from extopt.oracle import (
     _project_rows,
     _shortfall_and_gradient,
@@ -32,7 +35,7 @@ from extopt.oracle import (
     project_to_simplex,
     subgradient,
 )
-from helpers import naive_grid, reference_project_rows
+from helpers import naive_f, naive_grid, random_lambda_member, reference_project_rows
 
 F = Fraction
 
@@ -335,6 +338,121 @@ class TestDuoLatticeResolution:
             assert all((e / step).denominator == 1 for e in vec)
 
 
+class TestDualCertificate:
+    def test_checker_rejects_mutated_certificates(self):
+        i = inst(9, 1, "2.5")
+        duo = solve_continuous(i).vector
+        cert = dual_certificate(duo, i)
+        assert check_certificate(duo, i, cert) == naive_f(duo, i.x)
+        prefix = [sum(duo[:e], F(0)) for e in range(i.n + 1)]
+        unused = [(k, e) for k in range(i.n) for e in range(k + 1, i.n + 1)
+                  if prefix[e] - prefix[k] == i.x and (k, e) not in cert.tight]
+        assert cert.tight and unused
+        mutations = [
+            replace(cert, tight=cert.tight[1:]),  # one α flipped to 0
+            replace(cert, tight=cert.tight + tuple(unused[:1])),  # one α flipped to 1
+            replace(cert, mu=cert.mu - 1),
+            # the same Σα and bound, but some coordinate covered μ+1 times
+            replace(cert, tight=cert.tight[1:] + tuple(unused[:1])),
+        ]
+        for mutated in mutations:
+            assert check_certificate(duo, i, mutated) is None
+
+    def test_structured_vector_yields_a_better_point(self):
+        i = inst(7, 1, "2.2")
+        structured = solve_combinatorial(i).vector
+        assert naive_f(structured, i.x) == F(33, 5)
+        point = dual_certificate(structured, i)
+        assert not isinstance(point, DualCertificate)
+        assert sum(point, F(0)) == i.w and min(point) >= 0
+        assert naive_f(point, i.x) < F(33, 5)
+
+    def test_every_cut_point_beats_its_start(self):
+        rng = random.Random(11)
+        cuts = 0
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            x = F(rng.randint(1, 4), rng.randint(1, 3))
+            i = inst(n, x, x * F(rng.randint(1, 4 * n - 1), 4))
+            v = random_lambda_member(rng, i)
+            found = dual_certificate(v, i)
+            if isinstance(found, DualCertificate):
+                assert check_certificate(v, i, found) == naive_f(v, x)
+                continue
+            cuts += 1
+            assert sum(found, F(0)) == i.w and min(found) >= 0
+            assert naive_f(found, x) < naive_f(v, x)
+        assert cuts > 150
+
+    def test_certifies_a_conjectured_instance_at_n_200(self):
+        i = inst(200, 1, 2 + F(5, 12))
+        assert solve_continuous(i).status == "CONJECTURED"
+        report = verify_conjecture(i)
+        assert report.status == CONFIRMED
+        assert report.oracle_value == report.constructed_objective
+        assert report.certificate.tight_count > 1000
+
+    def test_certifies_a_conjectured_instance_at_n_10000(self):
+        i = inst(10000, 1, 4999 + F(5, 12))
+        assert solve_continuous(i).status == "CONJECTURED"
+        assert verify_conjecture(i).status == CONFIRMED
+
+    def test_rejects_a_vector_off_the_budget(self):
+        with pytest.raises(ValidationError):
+            dual_certificate((F(1), F(0)), inst(2, 1, "1.5"))
+
+    def test_max_flow_along_a_long_path(self):
+        # a path longer than the recursion limit: the path search is iterative
+        n = 5000
+        graph = [[] for _ in range(n)]
+        heads, caps = [], []
+        for u in range(n - 1):
+            graph[u].append(len(heads))
+            heads.append(u + 1)
+            caps.append(2)
+            graph[u + 1].append(len(heads))
+            heads.append(u)
+            caps.append(0)
+        flow, level = _max_flow(graph, heads, caps, 0, n - 1)
+        assert flow == 2
+        assert level[0] == 0 and max(level[1:]) == -1
+
+
+class TestVerifyDecision:
+    def test_non_optimal_construction_is_violated(self, monkeypatch):
+        # stand the structured optimum (33/5) in for the duo vector (32/5)
+        monkeypatch.setattr("extopt.oracle.solve_continuous", solve_combinatorial)
+        i = inst(7, 1, "2.2")
+        report = verify_conjecture(i)
+        assert report.status == VIOLATED and report.certificate is None
+        assert sum(report.oracle_point, F(0)) == i.w
+        assert report.oracle_value == naive_f(report.oracle_point, i.x) < F(33, 5)
+        assert report.gap < 0
+
+    def test_rejected_certificate_fails_the_self_check(self, monkeypatch):
+        monkeypatch.setattr("extopt.oracle.check_certificate", lambda v, inst, cert: None)
+        with pytest.raises(ConstructionError):
+            verify_conjecture(inst(7, 1, "2.2"))
+
+    def test_reference_oracles_respect_the_certified_bound(self):
+        i = inst(5, 1, F(17, 12))
+        duo = solve_continuous(i).vector
+        bound = check_certificate(duo, i, dual_certificate(duo, i))
+        assert grid_search(i, duo_lattice_resolution(i))[1] == bound
+        sub = projected_subgradient(i, SubgradientConfig(restarts=1, max_iters=2000),
+                                    start=[float(e) for e in duo])
+        assert sub.value >= float(bound) - 1e-9
+
+    def test_default_path_runs_no_float_oracle(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a float or lattice oracle ran")
+
+        monkeypatch.setattr("extopt.oracle.projected_subgradient", forbidden)
+        monkeypatch.setattr("extopt.oracle.grid_search", forbidden)
+        report = verify_conjecture(inst(6, 1, 1 + F(7, 12)))
+        assert report.status == CONFIRMED
+
+
 class TestVerifyConjecture:
     def test_confirmed_examples(self):
         for n, x, w in [(7, "1", "2.2"), (9, "1", "2.5"), (8, "1", "3")]:
@@ -343,11 +461,13 @@ class TestVerifyConjecture:
             assert abs(report.gap) <= 1e-6
             assert report.converged
 
-    def test_forced_early_stop_is_inconclusive(self):
-        report = verify_conjecture(
-            inst(2, 1, "1.5"), SubgradientConfig(max_iters=10), grid_cap=0
-        )
-        assert report.status == INCONCLUSIVE
+    def test_forced_early_stop_still_confirmed(self):
+        # a 10-step subgradient run does not converge, but it decides nothing
+        cfg = SubgradientConfig(max_iters=10)
+        i = inst(2, 1, "1.5")
+        assert projected_subgradient(i, cfg).converged is False
+        report = verify_conjecture(i, cfg)
+        assert report.status == CONFIRMED and report.converged
 
     def test_deterministic(self):
         cfg = SubgradientConfig(seed=7)

@@ -1,0 +1,50 @@
+"""Properties of the objective and of the dual certificate, checked by Hypothesis."""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from extopt import Instance, eval_f, solve_continuous
+from extopt.certificate import DualCertificate, dual_certificate
+from helpers import naive_f
+
+F = Fraction
+
+# the same examples on every run, and no example database written to disk
+DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+positive_rationals = st.builds(F, st.integers(1, 12), st.integers(1, 6))
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 7))
+    x = draw(positive_rationals)
+    # w = x·k/4 for k in 1..4n-1, so 0 < w < n·x
+    w = x * F(draw(st.integers(1, 4 * n - 1)), 4)
+    return Instance(n, x, w)
+
+
+@DERANDOMIZED
+@given(inst=instances(), data=st.data())
+def test_certified_bound_is_below_every_feasible_point(inst, data):
+    cert = dual_certificate(solve_continuous(inst).vector, inst)
+    assume(isinstance(cert, DualCertificate))
+    bound = inst.x * (cert.unsaturated_count + len(cert.tight)) - cert.mu * inst.w
+    # a feasible rational u: nonnegative parts of w, of which only the total counts
+    parts = data.draw(st.lists(st.integers(0, 8), min_size=inst.n, max_size=inst.n))
+    assume(sum(parts) > 0)
+    spend = data.draw(st.sampled_from([F(1), F(1, 2), F(0)]))
+    u = [inst.w * spend * p / sum(parts) for p in parts]
+    assert bound <= naive_f(u, inst.x)
+
+
+@DERANDOMIZED
+@given(
+    v=st.lists(st.builds(F, st.integers(0, 20), st.integers(1, 7)), min_size=1, max_size=9),
+    x=positive_rationals,
+    c=positive_rationals,
+)
+def test_objective_is_homogeneous(v, x, c):
+    assert eval_f([c * e for e in v], c * x) == c * eval_f(v, x)
