@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ValidationError
-from .model import Instance, _scaled_prefix, eval_f, service_vector
+from .model import Instance, _scaled, eval_f, service_vector
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,8 @@ def dual_certificate(v: Iterable, inst: Instance) -> DualCertificate | tuple[Fra
     vec = service_vector(v)
     if len(vec) != inst.n or sum(vec, Fraction(0)) != inst.w:
         raise ValidationError(f"v must have {inst.n} entries summing to w = {inst.w}")
-    prefix, xs, _ = _scaled_prefix(vec, inst.x)
+    vals, xs, _ = _scaled(vec, inst.x)
+    prefix = list(itertools.accumulate(vals, initial=0))
     n = inst.n
     # each unsaturated arc, fixed at 1, leaves an excess of +1 at its head
     # and -1 at its tail
@@ -184,7 +185,8 @@ def check_certificate(v: Iterable, inst: Instance, cert: DualCertificate) -> Fra
     not depend on how the certificate was found.
     """
     vec = service_vector(v)
-    prefix, xs, _ = _scaled_prefix(vec, inst.x)
+    vals, xs, _ = _scaled(vec, inst.x)
+    prefix = list(itertools.accumulate(vals, initial=0))
     n = len(vec)
     alpha = set(cert.tight)
     if (n != inst.n or sum(vec, Fraction(0)) != inst.w or cert.mu < 0

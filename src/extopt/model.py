@@ -8,6 +8,7 @@ noise (floats belong to the numerical oracle only).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,10 +37,10 @@ def as_rational(value: RationalLike) -> Fraction:
 
 def service_vector(entries: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     """Validate and normalize a candidate solution vector."""
-    vec = tuple(as_rational(e) for e in entries)
+    vec = tuple(map(as_rational, entries))
     if not vec:
         raise ValidationError("service vector must have at least one entry")
-    if any(e < 0 for e in vec):
+    if any(e.numerator < 0 for e in vec):
         raise ValidationError("service vector entries must be nonnegative")
     return vec
 
@@ -122,40 +123,54 @@ class QueueParams:
         return self.lam * self.mu1
 
 
-def _scaled_prefix(v: Iterable[RationalLike], x: RationalLike) -> tuple[list[int], int, int]:
+def _scaled(v: Iterable[RationalLike], x: RationalLike) -> tuple[list[int], int, int]:
     """Validate (v, x) and scale both to integers over one common denominator.
 
-    Returns the prefix sums of the scaled entries (starting at 0), the scaled
-    x and the denominator, so every interval sum is an exact integer.
+    Returns the scaled entries, the scaled x and the denominator, so every
+    interval sum is an exact integer.
     """
     vec = service_vector(v)
     xq = as_rational(x)
     if xq <= 0:
         raise ValidationError(f"x must be positive, got {xq}")
-    denom = math.lcm(xq.denominator, *(e.denominator for e in vec))
-    prefix = [0]
-    acc = 0
-    for e in vec:
-        acc += e.numerator * (denom // e.denominator)
-        prefix.append(acc)
-    return prefix, xq.numerator * (denom // xq.denominator), denom
+    ratios = [e.as_integer_ratio() for e in vec]
+    denom = math.lcm(xq.denominator, *{q for _, q in ratios})
+    vals = [p * (denom // q) for p, q in ratios]
+    return vals, xq.numerator * (denom // xq.denominator), denom
 
 
-def _shortfall(prefix: Sequence[int], x: int) -> int:
-    """Sum of (x - interval sum)^+ over all intervals, from integer prefix sums.
+def _runs(vals: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Split nonnegative entries into their K nonzero masses and the K+1 zero
+    runs around them.  Returns the masses and the run widths z_j + 1, where
+    z_j is the number of zeros between mass j and mass j+1 (before the first
+    mass for j = 0, after the last for j = K)."""
+    at = [i for i, e in enumerate(vals) if e]
+    widths = [b - a for a, b in zip([-1] + at, at + [len(vals)])]
+    return [vals[i] for i in at], widths
 
-    Entries are nonnegative, so the scan from each start stops at the first
-    saturated interval.
+
+def _shortfall(masses: Sequence[int], widths: Sequence[int], x: int) -> int:
+    """Sum of (x - interval sum)^+ over all intervals, from the runs of `_runs`.
+
+    An interval inside zero run j falls short by x, and the run holds
+    z_j(z_j+1)/2 of them.  Every other interval has a first mass a and a
+    last mass b; it can start anywhere in the z_{a-1}+1 slots ending at mass
+    a and end anywhere in the z_b+1 slots starting at mass b, and it falls
+    short by x - S_ab, where S_ab is the sum of masses a..b.  Masses are
+    positive, so the scan from each a stops at the first saturated b: the
+    cost is O(K*L) for K masses and L masses before saturation, whatever the
+    number of zeros.
     """
-    n = len(prefix) - 1
-    total = 0
-    for k in range(n):
-        limit = prefix[k] + x
-        for end in range(k + 1, n + 1):
-            gap = limit - prefix[end]
-            if gap <= 0:
+    total = x * sum(w * (w - 1) for w in widths) // 2
+    k = len(masses)
+    for a in range(k):
+        left = widths[a]
+        room = x
+        for b in range(a, k):
+            room -= masses[b]
+            if room <= 0:
                 break
-            total += gap
+            total += left * widths[b + 1] * room
     return total
 
 
@@ -164,16 +179,17 @@ def eval_f(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
 
     Evaluated on integers scaled to one denominator, so the result is exact.
     """
-    prefix, xs, denom = _scaled_prefix(v, x)
-    return Fraction(_shortfall(prefix, xs), denom)
+    vals, xs, denom = _scaled(v, x)
+    return Fraction(_shortfall(*_runs(vals), xs), denom)
 
 
 def eval_f_row(v: Iterable[RationalLike], x: RationalLike, j: int) -> Fraction:
     """Shortfall restricted to the n+1-j intervals of exactly j consecutive indices."""
-    prefix, xs, denom = _scaled_prefix(v, x)
-    n = len(prefix) - 1
+    vals, xs, denom = _scaled(v, x)
+    n = len(vals)
     if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= n:
         raise ValidationError(f"row length j must be an integer in [1, {n}], got {j!r}")
+    prefix = list(itertools.accumulate(vals, initial=0))
     total = sum(max(xs - (prefix[k + j] - prefix[k]), 0) for k in range(n + 1 - j))
     return Fraction(total, denom)
 
@@ -181,11 +197,13 @@ def eval_f_row(v: Iterable[RationalLike], x: RationalLike, j: int) -> Fraction:
 def strict_pair_sum(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
     """Shortfall over intervals of length at least two (the variance bracket term).
 
-    This is the total shortfall minus its singleton intervals.
+    This is the total shortfall minus its singleton intervals: x for each
+    zero entry and (x - mass)^+ for each mass.
     """
-    prefix, xs, denom = _scaled_prefix(v, x)
-    singles = sum(max(xs - (b - a), 0) for a, b in zip(prefix, prefix[1:]))
-    return Fraction(_shortfall(prefix, xs) - singles, denom)
+    vals, xs, denom = _scaled(v, x)
+    masses, widths = _runs(vals)
+    singles = xs * (len(vals) - len(masses)) + sum(xs - e for e in masses if e < xs)
+    return Fraction(_shortfall(masses, widths, xs) - singles, denom)
 
 
 def externality_mean(q: QueueParams, n: int, x: RationalLike) -> Fraction:
@@ -206,10 +224,10 @@ def externality_variance(
     The bracket sums intervals of length >= 2 only; singleton intervals do
     not enter, unlike :func:`eval_f`.
     """
-    vec = service_vector(v)
-    xq = as_rational(x)
+    vec = tuple(v)
+    pairs = strict_pair_sum(vec, x)  # validates v and x
     factor = q.lam * q.mu2 / (1 - q.rho) ** 3
-    return factor * (len(vec) * xq + 2 * strict_pair_sum(vec, xq))
+    return factor * (len(vec) * as_rational(x) + 2 * pairs)
 
 
 def supremum_vector(inst: Instance) -> tuple[Fraction, ...]:

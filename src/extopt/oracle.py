@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from .certificate import DualCertificate, check_certificate, dual_certificate
 from .continuous import solve_continuous
 from .errors import ConstructionError, SizeCapError, ValidationError
-from .model import Instance, _scaled_prefix, _shortfall, eval_f
+from .model import Instance, _runs, _scaled, _shortfall, eval_f
 from .report import CONFIRMED, VIOLATED
 
 if TYPE_CHECKING:
@@ -126,7 +126,7 @@ def brute_force_combinatorial(
                     base[j] = 0
 
     def value(vals: tuple[int, ...]) -> int:
-        return _shortfall(list(itertools.accumulate(vals, initial=0)), x_s)
+        return _shortfall(*_runs(vals), x_s)
 
     best = min(placements(), key=lambda vals: (value(vals), vals))
     vector = tuple(Fraction(v, denom) for v in best)
@@ -202,7 +202,8 @@ def subgradient(v: Iterable, x) -> tuple[Fraction, ...]:
     exactly saturated intervals contribute the midpoint -1/2 of their
     subdifferential range.
     """
-    prefix, xs, _ = _scaled_prefix(v, x)
+    vals, xs, _ = _scaled(v, x)
+    prefix = list(itertools.accumulate(vals, initial=0))
     n = len(prefix) - 1
     # weights doubled to stay integral: 2 per unsaturated, 1 per saturated interval
     diff = [0] * (n + 1)

@@ -1,12 +1,15 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid prefix sums and any code path shared with the
-package: plain triple loops over interval slices, exact rationals only.
+These deliberately avoid any code path shared with the package: plain triple
+loops over interval slices, exact rationals only.  `bisect_f`, for vectors
+too long for the triple loops, uses prefix sums but no loop of the package.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -48,6 +51,23 @@ def naive_strict_pairs(v, x) -> Fraction:
             if x > s:
                 total += x - s
     return total
+
+
+def bisect_f(v, x) -> Fraction:
+    """f(v) in O(n log n).  Each start k finds its first saturated end e by
+    bisection on the prefix sums P, and the shorter intervals from k add
+    (e−k−1)·(x + P[k]) − (P[k+1] + ... + P[e−1]) in one step."""
+    v = [Fraction(e) for e in v]
+    x = Fraction(x)
+    denom = math.lcm(x.denominator, *(e.denominator for e in v))
+    xs = int(x * denom)
+    prefix = list(itertools.accumulate((int(e * denom) for e in v), initial=0))
+    pp = list(itertools.accumulate(prefix, initial=0))  # pp[i] = P[0] + ... + P[i-1]
+    total = 0
+    for k in range(len(v)):
+        e = bisect.bisect_left(prefix, prefix[k] + xs, lo=k + 1)
+        total += (e - k - 1) * (xs + prefix[k]) - (pp[e] - pp[k + 1])
+    return Fraction(total, denom)
 
 
 def naive_grid(inst, resolution: int) -> tuple[list[tuple[Fraction, ...]], Fraction]:

@@ -7,12 +7,16 @@ import math
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from extopt import SizeCapError, solve_combinatorial
+from extopt import Instance, SizeCapError, solve_combinatorial
 from extopt.cli import _sweep_rows, main
+from extopt.combinatorial import a_value
+from extopt.continuous import closed_form_objective, tau
+from helpers import bisect_f
 
 F = Fraction
 
@@ -316,6 +320,74 @@ class TestVariance:
         assert code == 3
 
 
+class TestLargeN:
+    """n = 10^5, where almost every interval is unsaturated: each objective is
+    checked against a closed form that does not evaluate the vector."""
+
+    N = 100_000
+    QUEUE = ("--lambda", "1/2", "--mu1", "1", "--mu2", "2")
+
+    def run_all(self, capsys, w):
+        inst = ["-n", str(self.N), "-x", "1", "-w", w]
+        argvs = [["solve", "--domain", "continuous", *inst],
+                 ["solve", "--domain", "combinatorial", *inst],
+                 ["variance", *inst, *self.QUEUE]]
+        start = time.perf_counter()
+        docs = [run_json(capsys, *argv) for argv in argvs]
+        return time.perf_counter() - start, docs
+
+    def check_feasible(self, vector, w):
+        assert len(vector) == self.N
+        assert sum(vector) == w
+        assert all(0 <= e <= 1 for e in vector)
+
+    def check_variance(self, doc, vector, objective, w):
+        # lam*mu2/(1-rho)^3 = 8 for the queue above; the pair sum is f minus
+        # the singletons: 1 per zero entry and 1 - e for each mass below 1
+        singles = sum(1 - e for e in vector)
+        assert doc["result"]["minimizing_vector"] == [str(e) for e in vector]
+        assert F(doc["result"]["variance_min"]) == 8 * (self.N + 2 * (objective - singles))
+        n = self.N
+        sup = F((n - 1) * (n - 2), 2) + (n - 1) * max(1 - w, 0)
+        assert F(doc["result"]["variance_sup"]) == 8 * (n + 2 * sup)
+
+    def test_two_masses_and_a_leftover(self, capsys):
+        seconds, (cont, comb, var) = self.run_all(capsys, "5/2")
+        inst = Instance(self.N, 1, F(5, 2))
+        delta = comb["result"]["delta_certificate"]["delta_star"]
+        assert F(comb["result"]["objective"]) == a_value(inst, delta)
+        vector = [F(e) for e in cont["result"]["vector"]]
+        self.check_feasible(vector, inst.w)
+        objective = F(cont["result"]["objective"])
+        assert objective == bisect_f(vector, 1)
+        assert objective <= a_value(inst, delta)
+        self.check_variance(var, vector, objective, inst.w)
+        assert seconds < 10
+
+    def test_one_leftover_mass(self, capsys):
+        seconds, docs = self.run_all(capsys, "1/2")
+        n, r = self.N, F(1, 2)
+        j = (n + 1) // 2  # the smallest middle point of 1..n
+        middle = F(n * (n + 1), 2) - r * j * (n + 1 - j)
+        for doc in docs[:2]:
+            assert F(doc["result"]["objective"]) == middle
+        vector = [F(e) for e in docs[0]["result"]["vector"]]
+        self.check_feasible(vector, r)
+        self.check_variance(docs[2], vector, middle, r)
+        assert seconds < 10
+
+    def test_whole_masses(self, capsys):
+        seconds, docs = self.run_all(capsys, "2")
+        inst = Instance(self.N, 1, 2)
+        expected = closed_form_objective(inst, tau(self.N, 2).tau_u)
+        for doc in docs[:2]:
+            assert F(doc["result"]["objective"]) == expected
+        vector = [F(e) for e in docs[0]["result"]["vector"]]
+        self.check_feasible(vector, 2)
+        self.check_variance(docs[2], vector, expected, 2)
+        assert seconds < 10
+
+
 class TestEnumerate:
     def test_defaults_to_optimal_delta(self, capsys):
         doc = run_json(capsys, "enumerate", "-n", "7", "-x", "1", "-w", "2.2")
@@ -374,6 +446,24 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["certificate"]["lower_bound"] == "10"
+
+    def test_repeated_in_process_runs_match_fresh_interpreters(self, capsys):
+        argvs = [
+            ["solve", "--domain", "continuous", "-n", "7", "-x", "1", "-w", "2.2"],
+            ["solve", "--domain", "sideways", "-n", "7", "-x", "1", "-w", "2.2"],
+            ["variance", "-n", "7", "-x", "1", "-w", "2.2",
+             "--lambda", "1/2", "--mu1", "1", "--mu2", "2"],
+            ["verify", "-n", "9", "-x", "1", "-w", "2.5"],
+        ]
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+            out = capsys.readouterr().out
+            proc = subprocess.run([sys.executable, "-m", "extopt.cli", *argv],
+                                  capture_output=True, text=True)
+            assert (code, out) == (proc.returncode, proc.stdout)
 
     def test_exact_paths_do_not_load_numpy(self):
         probe = "import sys, extopt.cli; extopt.cli.build_parser(); print('numpy' in sys.modules)"

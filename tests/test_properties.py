@@ -1,13 +1,14 @@
-"""Properties of the objective and of the dual certificate, checked by Hypothesis."""
+"""Properties of the objective, the solvers and the dual certificate, checked by Hypothesis."""
 
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from extopt import Instance, eval_f, solve_continuous
+from extopt import Instance, eval_f, solve_combinatorial, solve_continuous
 from extopt.certificate import DualCertificate, dual_certificate
-from helpers import naive_f
+from extopt.model import strict_pair_sum
+from helpers import naive_f, naive_strict_pairs
 
 F = Fraction
 
@@ -15,11 +16,12 @@ F = Fraction
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 positive_rationals = st.builds(F, st.integers(1, 12), st.integers(1, 6))
+masses = st.builds(F, st.integers(1, 20), st.integers(1, 7))
 
 
 @st.composite
-def instances(draw):
-    n = draw(st.integers(1, 7))
+def instances(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
     x = draw(positive_rationals)
     # w = x·k/4 for k in 1..4n-1, so 0 < w < n·x
     w = x * F(draw(st.integers(1, 4 * n - 1)), 4)
@@ -48,3 +50,34 @@ def test_certified_bound_is_below_every_feasible_point(inst, data):
 )
 def test_objective_is_homogeneous(v, x, c):
     assert eval_f([c * e for e in v], c * x) == c * eval_f(v, x)
+
+
+@st.composite
+def sparse_vectors(draw, fewest, most):
+    """Vectors of up to 40 entries with fewest..most masses, so long zero runs."""
+    n = draw(st.integers(1, 40))
+    at = draw(st.sets(st.integers(0, n - 1), min_size=fewest, max_size=min(most, n)))
+    return [draw(masses) if i in at else F(0) for i in range(n)]
+
+
+@DERANDOMIZED
+@given(
+    v=st.one_of(sparse_vectors(0, 5), sparse_vectors(1, 1),
+                st.lists(masses, min_size=1, max_size=40)),
+    x=positive_rationals,
+)
+def test_gap_form_kernel_matches_the_naive_sums(v, x):
+    assert eval_f(v, x) == naive_f(v, x)
+    assert strict_pair_sum(v, x) == naive_strict_pairs(v, x)
+
+
+@DERANDOMIZED
+@given(inst=instances(max_n=40))
+def test_reports_are_feasible_and_scored_exactly(inst):
+    cont, comb = solve_continuous(inst), solve_combinatorial(inst)
+    assert cont.objective <= comb.objective
+    for report in (cont, comb):
+        assert len(report.vector) == inst.n
+        assert sum(report.vector) == inst.w
+        assert all(0 <= e <= inst.x for e in report.vector)
+        assert eval_f(report.vector, inst.x) == report.objective
