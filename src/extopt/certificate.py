@@ -188,21 +188,31 @@ def check_certificate(v: Iterable, inst: Instance, cert: DualCertificate) -> Fra
     vals, xs, _ = _scaled(vec, inst.x)
     prefix = list(itertools.accumulate(vals, initial=0))
     n = len(vec)
-    alpha = set(cert.tight)
+    tight = set(cert.tight)
     if (n != inst.n or sum(vec, Fraction(0)) != inst.w or cert.mu < 0
-            or len(alpha) != len(cert.tight)
-            or any(not 0 <= k < e <= n or prefix[e] - prefix[k] != xs for k, e in alpha)):
+            or len(tight) != len(cert.tight)
+            or any(not 0 <= k < e <= n or prefix[e] - prefix[k] != xs for k, e in tight)):
         return None
-    for k in range(n):  # add the unsaturated intervals
-        e = k + 1
-        while e <= n and prefix[e] - prefix[k] < xs:
-            alpha.add((k, e))
-            e += 1
-    cover = [0] * (n + 1)
-    for k, e in alpha:
-        cover[k] += 1
-        cover[e] -= 1
-    if max(itertools.accumulate(cover[:n])) > cert.mu:
+    # coverage as a second difference: interval [k, e) adds 1 on k..e-1
+    ramp = [0] * (n + 2)
+    for k, e in tight:
+        ramp[k] += 1
+        ramp[k + 1] -= 1
+        ramp[e] -= 1
+        ramp[e + 1] += 1
+    unsaturated = 0
+    for k in range(n):
+        # ends k+1..lo-1 are unsaturated: together they cover k..lo-2 with
+        # the ramp c, c-1, ..., 1, where c = lo-k-1
+        lo = bisect.bisect_left(prefix, prefix[k] + xs, k + 1)
+        c = lo - k - 1
+        if c:
+            unsaturated += c
+            ramp[k] += c
+            ramp[k + 1] -= c + 1
+            ramp[lo] += 1
+    cover = itertools.accumulate(itertools.accumulate(ramp[:n]))
+    if max(cover) > cert.mu:
         return None
-    bound = inst.x * len(alpha) - cert.mu * inst.w
+    bound = inst.x * (unsaturated + len(tight)) - cert.mu * inst.w
     return bound if bound == eval_f(vec, inst.x) else None

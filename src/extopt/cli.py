@@ -49,8 +49,12 @@ def _frac(value: Fraction) -> str:
     return str(value)
 
 
-def _vec(values) -> list[str]:
-    return [_frac(v) for v in values]
+def _vec(values: Sequence[Fraction]) -> list[str]:
+    # a vector repeats a few entry objects (0, x, r, ...): format each
+    # object once.  Keyed by id, which hashes far faster than a Fraction;
+    # ids stay unique while `values` holds the objects
+    text = {key: _frac(v) for key, v in dict(zip(map(id, values), values)).items()}
+    return list(map(text.__getitem__, map(id, values)))
 
 
 def _envelope(command: str, instance: dict[str, Any], result: Any, status: str) -> dict:

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ConstructionError, SizeCapError, ValidationError
-from .model import Instance, eval_f
+from .model import Instance, Placement, _eval_placed, _materialize
+from .model import eval_f  # noqa: F401  perfbench/tracing.py wraps it under this module
 
 
 @dataclass(frozen=True)
@@ -171,20 +172,15 @@ def _positions_from_gaps(gaps: Sequence[int], count: int) -> tuple[int, ...]:
     return tuple(itertools.accumulate(gaps[:count]))
 
 
-def build_gamma_member(inst: Instance, delta: int) -> tuple[Fraction, ...]:
-    """Canonical structured vector with widest gap delta: the delta-gap first,
-    the remaining gaps ascending, and the leftover mass at the smallest middle
-    point of the widest stretch."""
+def _gamma_placed(inst: Instance, delta: int) -> Placement:
+    """The placement (ascending nonzero entries) of `build_gamma_member`."""
     n, m, x, r = inst.n, inst.m, inst.x, inst.r
     if isinstance(delta, bool) or not isinstance(delta, int):
         raise ValidationError(f"delta must be an integer, got {delta!r}")
-    entries = [Fraction(0)] * n
     if m == 0:
         if delta != n + 1:
             raise ConstructionError(f"with w < x the only valid widest gap is {n + 1}")
-        j = _stretch_middles(1, n)[0]
-        entries[j - 1] = r
-        return tuple(entries)
+        return [(_stretch_middles(1, n)[0] - 1, r)]
     if not 1 <= delta <= n + 1 - m:
         raise ConstructionError(f"delta = {delta} leaves no room for {m} masses on {n} slots")
     rest = near_equidistant_parts(m, n + 1 - delta)
@@ -194,13 +190,17 @@ def build_gamma_member(inst: Instance, delta: int) -> tuple[Fraction, ...]:
         )
     if r > 0 and delta < 2:
         raise ConstructionError("the widest stretch has no slot for the leftover mass")
-    gaps = (delta,) + rest
-    for pos in _positions_from_gaps(gaps, m):
-        entries[pos - 1] = x
-    if r > 0:
-        j = _stretch_middles(1, delta - 1)[0]
-        entries[j - 1] = r
-    return tuple(entries)
+    # the leftover sits inside the leading widest stretch, before every x
+    placed = [(_stretch_middles(1, delta - 1)[0] - 1, r)] if r > 0 else []
+    placed.extend((pos - 1, x) for pos in _positions_from_gaps((delta,) + rest, m))
+    return placed
+
+
+def build_gamma_member(inst: Instance, delta: int) -> tuple[Fraction, ...]:
+    """Canonical structured vector with widest gap delta: the delta-gap first,
+    the remaining gaps ascending, and the leftover mass at the smallest middle
+    point of the widest stretch."""
+    return _materialize(inst.n, _gamma_placed(inst, delta))
 
 
 def enumerate_gamma(inst: Instance, delta: int, cap: int = 20) -> list[tuple[Fraction, ...]]:
@@ -262,18 +262,17 @@ def solve_combinatorial(inst: Instance):
     from .report import PROVEN, SolveReport
 
     if inst.m == 0:
-        vector = build_gamma_member(inst, inst.n + 1)
-        objective = eval_f(vector, inst.x)
+        placed = _gamma_placed(inst, inst.n + 1)
         return SolveReport(
             instance=inst,
-            vector=vector,
-            objective=objective,
+            vector=_materialize(inst.n, placed),
+            objective=_eval_placed(inst.n, placed, inst.x),
             status=PROVEN,
             method="combinatorial/middle-point",
         )
     cert = delta_search(inst)
-    vector = build_gamma_member(inst, cert.delta_star)
-    objective = eval_f(vector, inst.x)
+    placed = _gamma_placed(inst, cert.delta_star)
+    objective = _eval_placed(inst.n, placed, inst.x)
     expected = a_value(inst, cert.delta_star)
     if objective != expected:
         raise ConstructionError(
@@ -281,7 +280,7 @@ def solve_combinatorial(inst: Instance):
         )
     return SolveReport(
         instance=inst,
-        vector=vector,
+        vector=_materialize(inst.n, placed),
         objective=objective,
         status=PROVEN,
         method="combinatorial/gap-profile",

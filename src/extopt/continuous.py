@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .combinatorial import build_gamma_member, near_equidistant_parts
+from .combinatorial import _gamma_placed, near_equidistant_parts
+from .combinatorial import build_gamma_member  # noqa: F401  wrapped here by perfbench/tracing.py
 from .errors import ConstructionError, ValidationError
-from .model import Instance, eval_f
+from .model import Instance, Placement, _eval_placed, _materialize
+from .model import eval_f  # noqa: F401  wrapped here by perfbench/tracing.py
 from .report import CONJECTURED, PROVEN, SolveReport
 
 
@@ -33,13 +35,15 @@ class TauPair:
 @dataclass(frozen=True)
 class DuoSolution:
     """Two-layer construction: m masses of y on gap profile ``gap_y`` plus
-    m+1 masses of r on gap profile ``gap_r``; ``combined`` is their sum."""
+    m+1 masses of r on gap profile ``gap_r``; ``combined`` is their sum and
+    ``placed`` its nonzero entries as ascending (index, value) pairs."""
 
     v_y: tuple[Fraction, ...]
     v_r: tuple[Fraction, ...]
     combined: tuple[Fraction, ...]
     gap_y: tuple[int, ...]
     gap_r: tuple[int, ...]
+    placed: Placement
 
 
 def tau(n: int, m: int) -> TauPair:
@@ -64,8 +68,8 @@ def solve_continuous_integer(inst: Instance) -> SolveReport:
             "w is not an exact multiple of x; use solve_continuous for the general case"
         )
     pair = tau(inst.n, inst.m)
-    vector = build_gamma_member(inst, pair.tau_u)
-    objective = eval_f(vector, inst.x)
+    placed = _gamma_placed(inst, pair.tau_u)
+    objective = _eval_placed(inst.n, placed, inst.x)
     expected = closed_form_objective(inst, pair.tau_u)
     if objective != expected:
         raise ConstructionError(
@@ -73,7 +77,7 @@ def solve_continuous_integer(inst: Instance) -> SolveReport:
         )
     return SolveReport(
         instance=inst,
-        vector=vector,
+        vector=_materialize(inst.n, placed),
         objective=objective,
         status=PROVEN,
         method="continuous/equidistant",
@@ -176,29 +180,28 @@ def build_duo(inst: Instance) -> DuoSolution:
     if gaps_y is None:
         gaps_y = gaps_y_canon
 
-    # only the 2m+1 mass positions are nonzero, so the checks below look at
-    # those alone
-    touched = set()
-    v_y = [Fraction(0)] * n
-    for pos in itertools.accumulate(gaps_y[:m]):
-        v_y[pos - 1] = y
-        touched.add(pos - 1)
-    v_r = [Fraction(0)] * n
-    combined = list(v_y)
-    for pos in r_positions:
-        v_r[pos - 1] = r
-        combined[pos - 1] += r
-        touched.add(pos - 1)
-    if any(combined[i] > x for i in touched):
+    y_at = list(itertools.accumulate(gaps_y[:m]))
+    both = set(y_at).intersection(r_positions)
+    yr = y + r
+    placed = tuple(sorted(
+        [(pos - 1, y) for pos in y_at if pos not in both]
+        + [(pos - 1, yr if pos in both else r) for pos in r_positions]
+    ))
+    # the checks need only the three slot values and how many slots hold
+    # each, counted by position: y == r when r = x/2
+    slots = ((y, m - len(both)), (r, m + 1 - len(both)), (yr, len(both)))
+    if any(value > x for value, count in slots if count):
+        combined = list(_materialize(n, placed))
         raise ConstructionError(f"layer overlap pushed an entry above x in {combined}")
-    if sum((combined[i] for i in touched), Fraction(0)) != inst.w:
+    if sum(value * count for value, count in slots) != inst.w:
         raise ConstructionError("combined layers do not use the whole budget")
     return DuoSolution(
-        v_y=tuple(v_y),
-        v_r=tuple(v_r),
-        combined=tuple(combined),
+        v_y=_materialize(n, [(pos - 1, y) for pos in y_at]),
+        v_r=_materialize(n, [(pos - 1, r) for pos in r_positions]),
+        combined=_materialize(n, placed),
         gap_y=tuple(gaps_y),
         gap_r=tuple(gaps_r),
+        placed=placed,
     )
 
 
@@ -214,7 +217,7 @@ def solve_continuous(inst: Instance) -> SolveReport:
     t1 = tau(inst.n, inst.m)
     t2 = tau(inst.n, inst.m + 1)
     duo = build_duo(inst)
-    objective = eval_f(duo.combined, inst.x)
+    objective = _eval_placed(inst.n, duo.placed, inst.x)
     proven = t1.tau_u == t2.tau_u or t1.tau_l == t2.tau_l
     if proven:
         expected = closed_form_objective(inst, t1.tau_u)

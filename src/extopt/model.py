@@ -20,6 +20,9 @@ RationalLike = Union[Fraction, int, str]
 
 ServiceVector = tuple[Fraction, ...]
 
+# the nonzero entries of a vector as ascending (index, positive Fraction) pairs
+Placement = Sequence[tuple[int, Fraction]]
+
 
 def as_rational(value: RationalLike) -> Fraction:
     """Convert an int, a "p/q" string or a decimal string to an exact Fraction."""
@@ -123,6 +126,13 @@ class QueueParams:
         return self.lam * self.mu1
 
 
+def _positive(x: RationalLike) -> Fraction:
+    xq = as_rational(x)
+    if xq <= 0:
+        raise ValidationError(f"x must be positive, got {xq}")
+    return xq
+
+
 def _scaled(v: Iterable[RationalLike], x: RationalLike) -> tuple[list[int], int, int]:
     """Validate (v, x) and scale both to integers over one common denominator.
 
@@ -130,23 +140,25 @@ def _scaled(v: Iterable[RationalLike], x: RationalLike) -> tuple[list[int], int,
     interval sum is an exact integer.
     """
     vec = service_vector(v)
-    xq = as_rational(x)
-    if xq <= 0:
-        raise ValidationError(f"x must be positive, got {xq}")
+    xq = _positive(x)
     ratios = [e.as_integer_ratio() for e in vec]
     denom = math.lcm(xq.denominator, *{q for _, q in ratios})
     vals = [p * (denom // q) for p, q in ratios]
     return vals, xq.numerator * (denom // xq.denominator), denom
 
 
+def _widths(n: int, at: Sequence[int]) -> list[int]:
+    """Run widths z_j + 1 of a length-n vector whose K masses sit at the
+    ascending indices ``at``: z_j is the number of zeros between mass j and
+    mass j+1 (before the first mass for j = 0, after the last for j = K)."""
+    return [b - a for a, b in zip([-1, *at], [*at, n])]
+
+
 def _runs(vals: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Split nonnegative entries into their K nonzero masses and the K+1 zero
-    runs around them.  Returns the masses and the run widths z_j + 1, where
-    z_j is the number of zeros between mass j and mass j+1 (before the first
-    mass for j = 0, after the last for j = K)."""
+    """Split nonnegative entries into their K nonzero masses and the K+1 run
+    widths of `_widths`."""
     at = [i for i, e in enumerate(vals) if e]
-    widths = [b - a for a, b in zip([-1] + at, at + [len(vals)])]
-    return [vals[i] for i in at], widths
+    return [vals[i] for i in at], _widths(len(vals), at)
 
 
 def _shortfall(masses: Sequence[int], widths: Sequence[int], x: int) -> int:
@@ -174,13 +186,36 @@ def _shortfall(masses: Sequence[int], widths: Sequence[int], x: int) -> int:
     return total
 
 
+def _materialize(n: int, placed: Placement) -> tuple[Fraction, ...]:
+    """The length-n vector whose nonzero entries are ``placed``."""
+    entries = [Fraction(0)] * n
+    for i, e in placed:
+        entries[i] = e
+    return tuple(entries)
+
+
+def _eval_placed(n: int, placed: Placement, x: Fraction) -> Fraction:
+    """`eval_f` of the length-n vector whose nonzero entries are ``placed``,
+    ascending (index, positive Fraction) pairs, for a positive Fraction x.
+
+    Only the masses are scaled to the common denominator and the zero runs
+    come from the indices, so the cost is O(masses) plus the scan, whatever n.
+    """
+    denom = math.lcm(x.denominator, *{e.denominator for _, e in placed})
+    masses = [e.numerator * (denom // e.denominator) for _, e in placed]
+    widths = _widths(n, [i for i, _ in placed])
+    return Fraction(_shortfall(masses, widths, x.numerator * (denom // x.denominator)), denom)
+
+
 def eval_f(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
     """Total shortfall: sum of (x - interval sum)^+ over all index intervals.
 
     Evaluated on integers scaled to one denominator, so the result is exact.
     """
-    vals, xs, denom = _scaled(v, x)
-    return Fraction(_shortfall(*_runs(vals), xs), denom)
+    vec = service_vector(v)
+    # testing the numerator is cheaper than Fraction.__bool__
+    placed = [(i, e) for i, e in enumerate(vec) if e.numerator]
+    return _eval_placed(len(vec), placed, _positive(x))
 
 
 def eval_f_row(v: Iterable[RationalLike], x: RationalLike, j: int) -> Fraction:
@@ -210,10 +245,7 @@ def externality_mean(q: QueueParams, n: int, x: RationalLike) -> Fraction:
     """Expected externalities n*x/(1 - rho); independent of the service vector."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
-    xq = as_rational(x)
-    if xq <= 0:
-        raise ValidationError(f"x must be positive, got {xq}")
-    return n * xq / (1 - q.rho)
+    return n * _positive(x) / (1 - q.rho)
 
 
 def externality_variance(

@@ -143,3 +143,12 @@ def random_lambda_member(rng: random.Random, inst) -> tuple[Fraction, ...]:
             break
     assert remaining == 0
     return tuple(v)
+
+
+def twelfths_grid():
+    """(n, x, w) for n = 2..16, x in {1, 3/7, 11/10} and w = x·k/12 for
+    every k with 0 < w < n·x."""
+    for n in range(2, 17):
+        for x in (Fraction(1), Fraction(3, 7), Fraction(11, 10)):
+            for k in range(1, 12 * n):
+                yield n, x, x * k / 12

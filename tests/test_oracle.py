@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -483,3 +484,13 @@ class TestVerifyConjecture:
             i = inst(n, 1, m)  # r = 0: theorem territory
             report = verify_conjecture(i)
             assert report.status == CONFIRMED
+
+    def test_checker_is_fast_on_a_sparse_vector_at_n_3000(self):
+        # the unsaturated intervals number about n²/2 here; the checker counts
+        # them per start instead of listing them
+        i = inst(3000, 1, "5/2")
+        duo = solve_continuous(i).vector
+        loose = DualCertificate(mu=10**9, tight=(), tight_count=0, unsaturated_count=0)
+        start = time.perf_counter()
+        assert check_certificate(duo, i, loose) is None
+        assert time.perf_counter() - start < 5
