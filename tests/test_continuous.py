@@ -24,7 +24,7 @@ from extopt.continuous import (
     tau,
 )
 from extopt.model import as_rational, eval_f_row
-from helpers import random_lambda_member
+from helpers import naive_y_gaps, random_lambda_member
 
 F = Fraction
 
@@ -188,7 +188,7 @@ class TestBuildDuo:
     def test_y_layer_is_strict_or_canonical(self):
         # the y-layer either interleaves strictly with the r-layer or, when no
         # arrangement does, is the canonical short-gaps-first profile
-        strict = fallback = 0
+        strict = fallback = conjectured = 0
         for n in range(2, 121):
             for m in range(0, n):
                 duo = build_duo(inst(n, 1, m + F(1, 3)))
@@ -196,12 +196,36 @@ class TestBuildDuo:
                 assert sorted(duo.gap_y) == list(canonical)
                 sums_y = list(itertools.accumulate(duo.gap_y))
                 sums_r = list(itertools.accumulate(duo.gap_r))
-                if all(sums_r[k] < sums_y[k] < sums_r[k + 1] for k in range(m)):
+                is_strict = all(sums_r[k] < sums_y[k] < sums_r[k + 1] for k in range(m))
+                if is_strict:
                     strict += 1
                 else:
                     assert duo.gap_y == canonical
                     fallback += 1
-        assert strict and fallback
+                # open regime: the two canonical profiles, strictly interleaved
+                t1, t2 = tau(n, m), tau(n, m + 1)
+                if t1.tau_u != t2.tau_u and t1.tau_l != t2.tau_l:
+                    assert is_strict and duo.gap_y == canonical, (n, m)
+                    conjectured += 1
+        assert strict and fallback and conjectured
+
+    def test_y_layer_matches_naive_search(self):
+        # the y-layer is the lexicographically smallest strictly interleaving
+        # arrangement of the canonical gaps, else the canonical profile; the
+        # reference walks every arrangement, so pairs with too many are skipped
+        checked = non_canonical = 0
+        for n in range(1, 61):
+            for m in range(0, n):
+                try:
+                    expected = naive_y_gaps(n, m, limit=5000)
+                except ValueError:
+                    continue
+                canonical = canonical_gap_profiles(n, m)[0]
+                duo = build_duo(inst(n, 1, m + F(1, 3)))
+                assert duo.gap_y == (canonical if expected is None else expected), (n, m)
+                checked += 1
+                non_canonical += duo.gap_y != canonical
+        assert (checked, non_canonical) == (1063, 62)
 
     def test_wrong_branch(self):
         with pytest.raises(ValidationError):
