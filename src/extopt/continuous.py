@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .combinatorial import _gamma_placed, near_equidistant_parts
 from .combinatorial import build_gamma_member  # noqa: F401  wrapped here by perfbench/tracing.py
@@ -34,9 +33,11 @@ class TauPair:
 
 @dataclass(frozen=True)
 class DuoSolution:
-    """Two-layer construction: m masses of y on gap profile ``gap_y`` plus
-    m+1 masses of r on gap profile ``gap_r``; ``combined`` is their sum and
-    ``placed`` its nonzero entries as ascending (index, value) pairs."""
+    """Two-layer construction: m masses of y on gap profile ``gap_y`` (the
+    smallest strictly interleaving one, else the canonical one) plus m+1
+    masses of r on the canonical gap profile ``gap_r``; ``combined`` is
+    their sum and ``placed`` its nonzero entries as ascending (index, value)
+    pairs."""
 
     v_y: tuple[Fraction, ...]
     v_r: tuple[Fraction, ...]
@@ -113,61 +114,47 @@ def satisfies_interleaving(gaps_y: tuple[int, ...], gaps_r: tuple[int, ...]) -> 
     return True
 
 
-def _arrange_y_gaps(
-    m: int, dy: int, ny: int, r_positions: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    """Lexicographically smallest arrangement of the y-gap multiset (ny gaps
-    of dy, the rest dy+1) whose mass positions fall strictly between
-    consecutive r-layer positions.  Returns None when no arrangement fits.
+def _y_positions(n: int, dy: int, r_positions: tuple[int, ...]) -> list[int] | None:
+    """Smallest positions of the m = len(r_positions) - 1 y-layer masses such
+    that mass k lies strictly between r-layer masses k and k+1 and each gap
+    (from position 0, between masses, and to position n+1) is dy or dy+1.
+    Returns None when no placement fits.
 
-    A state is the number of short gaps among the first ``level`` gaps.  A
-    forward pass collects the reachable states per level, a backward pass
-    keeps those that can still finish with ny short gaps, and the walk takes
-    the short gap whenever it stays on a kept state.
+    The positions from which the rest of the layer still fits form an
+    integer interval per mass; a backward sweep tightens them, and a forward
+    sweep takes the smallest admissible position of each mass in turn, which
+    gives the lexicographically smallest gap sequence.
     """
-    total_slots = m + 1
-
-    def steps(level: int, smalls: int) -> Iterator[tuple[int, int]]:
-        # admissible next gaps, short first, with the short-gap count after each
-        pos_base = smalls * dy + (level - smalls) * (dy + 1)
-        for g, used in ((dy, smalls + 1), (dy + 1, smalls)):
-            if used > ny or (level + 1 - used) > total_slots - ny:
-                continue
-            # only the first m cumulative sums carry a mass
-            if level < m:
-                lo, hi = r_positions[level], r_positions[level + 1]
-                pos = pos_base + g
-                if not lo < pos < hi:
-                    continue
-            yield g, used
-
-    reach = [{0}]
-    for level in range(total_slots):
-        reach.append({used for s in reach[level] for _, used in steps(level, s)})
-    alive = [set() for _ in range(total_slots)] + [reach[total_slots] & {ny}]
-    for level in range(total_slots - 1, -1, -1):
-        alive[level] = {
-            s for s in reach[level]
-            if any(used in alive[level + 1] for _, used in steps(level, s))
-        }
-    if 0 not in alive[0]:
+    m = len(r_positions) - 1
+    lows = [0] * m
+    lo = hi = n + 1
+    for k in range(m - 1, -1, -1):
+        lo = max(lo - dy - 1, r_positions[k] + 1)
+        hi = min(hi - dy, r_positions[k + 1] - 1)
+        if lo > hi:
+            return None
+        lows[k] = lo
+    if not lo - dy - 1 <= 0 <= hi - dy:
         return None
-    gaps: list[int] = []
-    smalls = 0
-    for level in range(total_slots):
-        g, smalls = next((g, used) for g, used in steps(level, smalls) if used in alive[level + 1])
-        gaps.append(g)
-    return tuple(gaps)
+    positions = []
+    pos = 0
+    for low in lows:
+        pos = max(pos + dy, low)
+        positions.append(pos)
+    return positions
 
 
 def build_duo(inst: Instance) -> DuoSolution:
-    """Superpose the y-layer and the r-layer on canonical gap profiles.
+    """Superpose the y-layer and the r-layer on near-equidistant gaps.
 
-    The r-layer keeps the canonical short-gaps-first profile.  The y-layer
-    takes the lexicographically smallest arrangement that interleaves
-    strictly (no shared slots); when none exists it takes the canonical
-    profile, which interleaves weakly: a collision stacks y + r = x on one
-    slot, still within bounds.
+    The r-layer keeps the canonical short-gaps-first profile.  Each y-layer
+    mass takes the smallest position that keeps it strictly between its two
+    r-layer neighbours with every gap in {dy, dy+1} (``_y_positions``): the
+    lexicographically smallest strictly interleaving arrangement, with no
+    shared slots.  When none exists the y-layer takes the canonical profile,
+    which interleaves weakly: a collision stacks y + r = x on one slot,
+    still within bounds.  In the CONJECTURED regime the two canonical
+    profiles interleave strictly (checked for n < 700).
     """
     n, m, x = inst.n, inst.m, inst.x
     r, y = inst.r, inst.y
@@ -175,12 +162,9 @@ def build_duo(inst: Instance) -> DuoSolution:
         raise ValidationError("no leftover mass; use solve_continuous_integer")
     gaps_y_canon, gaps_r = canonical_gap_profiles(n, m)
     r_positions = tuple(itertools.accumulate(gaps_r[: m + 1]))
-    dy = gaps_y_canon[0]
-    gaps_y = _arrange_y_gaps(m, dy, gaps_y_canon.count(dy), r_positions + (n + 1,))
-    if gaps_y is None:
-        gaps_y = gaps_y_canon
-
-    y_at = list(itertools.accumulate(gaps_y[:m]))
+    y_at = _y_positions(n, gaps_y_canon[0], r_positions)
+    if y_at is None:
+        y_at = list(itertools.accumulate(gaps_y_canon[:m]))
     both = set(y_at).intersection(r_positions)
     yr = y + r
     placed = tuple(sorted(
@@ -199,7 +183,7 @@ def build_duo(inst: Instance) -> DuoSolution:
         v_y=_materialize(n, [(pos - 1, y) for pos in y_at]),
         v_r=_materialize(n, [(pos - 1, r) for pos in r_positions]),
         combined=_materialize(n, placed),
-        gap_y=tuple(gaps_y),
+        gap_y=tuple(b - a for a, b in itertools.pairwise([0, *y_at, n + 1])),
         gap_r=tuple(gaps_r),
         placed=placed,
     )
