@@ -53,8 +53,9 @@ def _vec(values: Sequence[Fraction]) -> list[str]:
     # a vector repeats a few entry objects (0, x, r, ...): format each
     # object once.  Keyed by id, which hashes far faster than a Fraction;
     # ids stay unique while `values` holds the objects
-    text = {key: _frac(v) for key, v in dict(zip(map(id, values), values)).items()}
-    return list(map(text.__getitem__, map(id, values)))
+    ids = list(map(id, values))
+    text = {key: _frac(v) for key, v in dict(zip(ids, values)).items()}
+    return list(map(text.__getitem__, ids))
 
 
 def _envelope(command: str, instance: dict[str, Any], result: Any, status: str) -> dict:
@@ -97,8 +98,40 @@ def _solve_result(report: SolveReport) -> dict[str, Any]:
     return out
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _encoder(indent: str) -> json.JSONEncoder:
+    # no `indent`, so `encode` runs the C encoder; the item separator puts
+    # each list item on its own line at `indent`
+    return json.JSONEncoder(separators=(",\n" + indent, ": "))
+
+
+def _dumps(value: Any, indent: str = "") -> str:
+    """The bytes of ``json.dumps(value, indent=2)`` for a payload with string
+    keys.  Dicts and nested lists are walked here; a flat list of scalars,
+    such as a vector, goes to the C encoder in one call."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        encode = _encoder(inner).encode
+        body = (f"{encode(key)}: {_dumps(item, inner)}" for key, item in value.items())
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _SCALARS.issuperset(map(type, value)):
+            body = _encoder(inner).encode(value)[1:-1]
+        else:
+            body = (",\n" + inner).join(_dumps(item, inner) for item in value)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return _encoder(inner).encode(value)
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_dumps(payload))
 
 
 def _make_instance(args: argparse.Namespace) -> Instance:

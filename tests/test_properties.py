@@ -1,5 +1,6 @@
 """Properties of the objective, the solvers and the dual certificate, checked by Hypothesis."""
 
+import json
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from extopt import Instance, eval_f, solve_combinatorial, solve_continuous
 from extopt.certificate import DualCertificate, dual_certificate
+from extopt.cli import _dumps
 from extopt.model import strict_pair_sum
 from helpers import naive_f, naive_strict_pairs
 
@@ -81,3 +83,28 @@ def test_reports_are_feasible_and_scored_exactly(inst):
         assert sum(report.vector) == inst.w
         assert all(0 <= e <= inst.x for e in report.vector)
         assert eval_f(report.vector, inst.x) == report.objective
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+texts = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x7fé€\u2028😀'), st.characters()),
+                max_size=8)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).map(lambda k: k * (-1) ** k),
+    st.floats(),  # nan and ±inf included
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, 5e-324]),
+    texts,
+)
+payloads = st.recursive(
+    st.one_of(scalars, st.lists(scalars, max_size=6)),
+    lambda kids: st.lists(kids, max_size=5) | st.dictionaries(texts, kids, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(DERANDOMIZED, max_examples=150)
+@given(payload=st.one_of(payloads, st.dictionaries(texts, payloads, max_size=6)))
+def test_writer_matches_the_indented_encoder(payload):
+    assert _dumps(payload) == json.dumps(payload, indent=2)
