@@ -37,14 +37,28 @@ class DuoSolution:
     smallest strictly interleaving one, else the canonical one) plus m+1
     masses of r on the canonical gap profile ``gap_r``; ``combined`` is
     their sum and ``placed`` its nonzero entries as ascending (index, value)
-    pairs."""
+    pairs.  The layers as n-vectors, ``v_y`` and ``v_r``, are built from the
+    gap profiles on each access."""
 
-    v_y: tuple[Fraction, ...]
-    v_r: tuple[Fraction, ...]
+    y: Fraction
+    r: Fraction
     combined: tuple[Fraction, ...]
     gap_y: tuple[int, ...]
     gap_r: tuple[int, ...]
     placed: Placement
+
+    @property
+    def v_y(self) -> tuple[Fraction, ...]:
+        return self._layer(self.gap_y, self.y)
+
+    @property
+    def v_r(self) -> tuple[Fraction, ...]:
+        return self._layer(self.gap_r, self.r)
+
+    def _layer(self, gaps: tuple[int, ...], value: Fraction) -> tuple[Fraction, ...]:
+        # a mass ends every gap but the last, at 1-based slot positions
+        positions = itertools.accumulate(gaps[:-1])
+        return _materialize(len(self.combined), [(pos - 1, value) for pos in positions])
 
 
 def tau(n: int, m: int) -> TauPair:
@@ -180,8 +194,8 @@ def build_duo(inst: Instance) -> DuoSolution:
     if sum(value * count for value, count in slots) != inst.w:
         raise ConstructionError("combined layers do not use the whole budget")
     return DuoSolution(
-        v_y=_materialize(n, [(pos - 1, y) for pos in y_at]),
-        v_r=_materialize(n, [(pos - 1, r) for pos in r_positions]),
+        y=y,
+        r=r,
         combined=_materialize(n, placed),
         gap_y=tuple(b - a for a, b in itertools.pairwise([0, *y_at, n + 1])),
         gap_r=tuple(gaps_r),

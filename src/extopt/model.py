@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -63,6 +63,9 @@ class Instance:
     n: int
     x: Fraction
     w: Fraction
+    m: int = field(init=False, repr=False, compare=False)
+    r: Fraction = field(init=False, repr=False, compare=False)
+    y: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, int):
@@ -80,18 +83,11 @@ class Instance:
                 f"trivial regime: w = {self.w} >= n*x = {self.n * self.x}, "
                 "every interval can be saturated"
             )
-
-    @property
-    def m(self) -> int:
-        return math.floor(self.w / self.x)
-
-    @property
-    def r(self) -> Fraction:
-        return self.w - self.m * self.x
-
-    @property
-    def y(self) -> Fraction:
-        return self.x - self.r
+        m = math.floor(self.w / self.x)
+        r = self.w - m * self.x
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "y", self.x - r)
 
 
 @dataclass(frozen=True)
