@@ -78,12 +78,38 @@ def h(a: int, b: int) -> Fraction:
         raise ValidationError(f"h needs integers, got {a!r}, {b!r}")
     if a <= 0 or b < a:
         raise ValidationError(f"need 0 < a <= b, got a={a}, b={b}")
+    return Fraction(_twice_h(a, b), 2)
+
+
+def _twice_h(a: int, b: int) -> int:
     q, s = divmod(b, a)
-    return Fraction(s * (q + 1) * q + (a - s) * q * (q - 1), 2)
+    return s * (q + 1) * q + (a - s) * q * (q - 1)
+
+
+def _scale(inst: Instance) -> tuple[int, int, int]:
+    """(D, X, R): x = X/D and r = R/D over D = lcm(den x, den r).  The gap
+    search works on these integers, where phi and a_value are integers
+    over 2D."""
+    x, r = inst.x, inst.r
+    d = math.lcm(x.denominator, r.denominator)
+    return d, x.numerator * (d // x.denominator), r.numerator * (d // r.denominator)
+
+
+def _a_scaled(n: int, m: int, xs: int, rs: int, delta: int) -> int:
+    # 2D * a_value
+    return (xs * (_twice_h(m, n + 1 - delta) + delta * (delta - 1))
+            - 2 * rs * (delta // 2) * ((delta + 1) // 2))
+
+
+def _phi_scaled(n: int, m: int, xs: int, rs: int, delta: int) -> int:
+    # 2D * phi
+    return ((2 * delta + 1) * (2 * xs - rs)
+            - 2 * xs * ((n - delta - 1) // m + (n - delta) // m) - rs)
 
 
 def a_value(inst: Instance, delta: int) -> Fraction:
-    """Objective of the best structured placement whose widest gap is delta."""
+    """Objective of the best structured placement whose widest gap is delta:
+    x * (h(m, n + 1 - delta) + delta(delta-1)/2) - r * floor(delta/2) * ceil(delta/2)."""
     m = inst.m
     if m < 1:
         raise ValidationError("a_value needs m >= 1; the w < x case has no gap search")
@@ -91,12 +117,13 @@ def a_value(inst: Instance, delta: int) -> Fraction:
         raise ValidationError(
             f"delta must be an integer in [1, {inst.n + 1 - m}], got {delta!r}"
         )
-    half_pairs = h(m, inst.n + 1 - delta) + Fraction(delta * (delta - 1), 2)
-    return inst.x * half_pairs - inst.r * (delta // 2) * ((delta + 1) // 2)
+    d, xs, rs = _scale(inst)
+    return Fraction(_a_scaled(inst.n, m, xs, rs, delta), 2 * d)
 
 
 def phi(inst: Instance, delta: int) -> Fraction:
-    """Second difference of the widest-gap objective: a_value(delta+2) - a_value(delta).
+    """Second difference of the widest-gap objective: a_value(delta+2) - a_value(delta),
+    that is (2delta+1)(x - r/2) - x(floor((n-delta-1)/m) + floor((n-delta)/m)) - r/2.
 
     Increasing in delta, which is what makes the parity-class bisection valid.
     """
@@ -105,25 +132,23 @@ def phi(inst: Instance, delta: int) -> Fraction:
         raise ValidationError("phi needs m >= 1")
     if isinstance(delta, bool) or not isinstance(delta, int) or not 1 <= delta <= n - 1:
         raise ValidationError(f"delta must be an integer in [1, {n - 1}], got {delta!r}")
-    x, r = inst.x, inst.r
-    return (
-        (2 * delta + 1) * (x - r / 2)
-        - x * ((n - delta - 1) // m + (n - delta) // m)
-        - r / 2
-    )
+    d, xs, rs = _scale(inst)
+    return Fraction(_phi_scaled(n, m, xs, rs, delta), 2 * d)
 
 
 def _tau_upper(n: int, m: int) -> int:
     return -((n + 1) // -(m + 1))
 
 
-def _class_candidate(inst: Instance, parity: int) -> int:
+def _class_candidate(n: int, m: int, xs: int, rs: int, parity: int) -> int:
     # first delta of {parity, parity+2, ..., top} with phi(delta) > 0, else top,
     # the widest feasible gap of this parity; phi(top) is never needed, as it
     # would compare with the infeasible top+2
-    hi = inst.n + 1 - inst.m
+    hi = n + 1 - m
     top = hi - (hi - parity) % 2
-    k = bisect.bisect_left(range(parity, top, 2), True, key=lambda d: phi(inst, d) > 0)
+    k = bisect.bisect_left(
+        range(parity, top, 2), True, key=lambda d: _phi_scaled(n, m, xs, rs, d) > 0
+    )
     return parity + 2 * k
 
 
@@ -134,36 +159,40 @@ def delta_search(inst: Instance) -> DeltaCertificate:
     first positive second difference; phi is increasing, so this is exact.
     delta* is the candidate with the smaller objective (the even one on
     ties).  When r = 0 the objective's first difference is already monotone
-    and delta* is ceil((n+1)/(m+1)).
+    and delta* is ceil((n+1)/(m+1)).  Signs and comparisons are decided on
+    the integers 2D * phi and 2D * a_value of `_scale`.
     """
     n, m = inst.n, inst.m
     if m < 1:
         raise ValidationError("delta_search needs m >= 1; place r at a middle point instead")
-    x, r = inst.x, inst.r
-    delta1, delta2 = _class_candidate(inst, 1), _class_candidate(inst, 2)
-    a1 = a_value(inst, delta1)
-    a2 = a_value(inst, delta2)
-    if r == 0:
+    d, xs, rs = _scale(inst)
+    delta1 = _class_candidate(n, m, xs, rs, 1)
+    delta2 = _class_candidate(n, m, xs, rs, 2)
+    a1 = _a_scaled(n, m, xs, rs, delta1)
+    a2 = _a_scaled(n, m, xs, rs, delta2)
+    if rs == 0:
         delta_star = _tau_upper(n, m)
     else:
         delta_star = delta1 if a1 < a2 else delta2
 
-    denom = x * (1 + Fraction(1, m)) - r / 2
-    center = r / 2 + x * Fraction(2 * n - 1 - m, 2 * m)
-    d_minus = (center - 1) / denom
-    d_plus = (center + 1) / denom
+    # the window (center -/+ 1) / (x(1 + 1/m) - r/2), center = r/2 + x(2n-1-m)/(2m),
+    # with numerators and denominator multiplied by 2mD; the denominator is
+    # positive because r < x
+    denom = 2 * xs * (m + 1) - m * rs
+    center = m * rs + xs * (2 * n - 1 - m)
+    lo, hi = center - 2 * m * d, center + 2 * m * d
     # +2 absorbs parity rounding at the top of the window
-    win_lo, win_hi = math.ceil(d_minus), min(math.floor(d_plus) + 2, n - 1 - m)
+    win_lo, win_hi = -(-lo // denom), min(hi // denom + 2, n - 1 - m)
     fallback = delta_star not in (delta1, delta2) or not all(
-        win_lo <= d <= win_hi for d in (delta1, delta2)
+        win_lo <= c <= win_hi for c in (delta1, delta2)
     )
     return DeltaCertificate(
         delta1=delta1,
         delta2=delta2,
         delta_star=delta_star,
-        a_delta1=a1,
-        a_delta2=a2,
-        window=(d_minus, d_plus),
+        a_delta1=Fraction(a1, 2 * d),
+        a_delta2=Fraction(a2, 2 * d),
+        window=(Fraction(lo, denom), Fraction(hi, denom)),
         used_fallback=fallback,
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -40,12 +41,19 @@ def as_rational(value: RationalLike) -> Fraction:
 
 def service_vector(entries: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     """Validate and normalize a candidate solution vector."""
-    vec = tuple(map(as_rational, entries))
-    if not vec:
+    items = tuple(entries)
+    # a vector repeats a few entry objects (0, x, r, ...): convert and check
+    # each object once.  Keyed by id, which hashes far faster than a
+    # Fraction; ids stay unique while `items` holds the objects
+    distinct = dict(zip(map(id, items), items))
+    values = {key: as_rational(e) for key, e in distinct.items()}
+    if not values:
         raise ValidationError("service vector must have at least one entry")
-    if any(e.numerator < 0 for e in vec):
+    if any(e.numerator < 0 for e in values.values()):
         raise ValidationError("service vector entries must be nonnegative")
-    return vec
+    if all(map(operator.is_, values.values(), distinct.values())):
+        return items  # every entry is already a Fraction
+    return tuple(map(values.__getitem__, map(id, items)))
 
 
 @dataclass(frozen=True)
@@ -158,7 +166,7 @@ def _runs(vals: Sequence[int]) -> tuple[list[int], list[int]]:
 
 
 def _shortfall(masses: Sequence[int], widths: Sequence[int], x: int) -> int:
-    """Sum of (x - interval sum)^+ over all intervals, from the runs of `_runs`.
+    """Sum of (x - interval sum)^+ over all intervals, from the run widths of `_widths`.
 
     An interval inside zero run j falls short by x, and the run holds
     z_j(z_j+1)/2 of them.  Every other interval has a first mass a and a
@@ -190,17 +198,34 @@ def _materialize(n: int, placed: Placement) -> tuple[Fraction, ...]:
     return tuple(entries)
 
 
+def _placement(vec: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    """The nonzero entries of a validated vector as a `Placement`."""
+    # testing the numerator is cheaper than Fraction.__bool__
+    return [(i, e) for i, e in enumerate(vec) if e.numerator]
+
+
+def _scaled_placement(
+    n: int, placed: Placement, x: Fraction
+) -> tuple[list[int], list[int], int, int]:
+    """The masses of ``placed`` and x as integers over one common denominator,
+    with the run widths of the length-n vector: (masses, widths, x, denom).
+
+    Each distinct value object is scaled once, as a placement repeats a few
+    (x, r, ...); the cost is O(masses), whatever n.
+    """
+    # keyed by id, as in `service_vector`
+    distinct = {id(e): e for _, e in placed}
+    denom = math.lcm(x.denominator, *[e.denominator for e in distinct.values()])
+    scaled = {key: e.numerator * (denom // e.denominator) for key, e in distinct.items()}
+    masses = [scaled[id(e)] for _, e in placed]
+    return masses, _widths(n, [i for i, _ in placed]), x.numerator * (denom // x.denominator), denom
+
+
 def _eval_placed(n: int, placed: Placement, x: Fraction) -> Fraction:
     """`eval_f` of the length-n vector whose nonzero entries are ``placed``,
-    ascending (index, positive Fraction) pairs, for a positive Fraction x.
-
-    Only the masses are scaled to the common denominator and the zero runs
-    come from the indices, so the cost is O(masses) plus the scan, whatever n.
-    """
-    denom = math.lcm(x.denominator, *{e.denominator for _, e in placed})
-    masses = [e.numerator * (denom // e.denominator) for _, e in placed]
-    widths = _widths(n, [i for i, _ in placed])
-    return Fraction(_shortfall(masses, widths, x.numerator * (denom // x.denominator)), denom)
+    ascending (index, positive Fraction) pairs, for a positive Fraction x."""
+    masses, widths, xs, denom = _scaled_placement(n, placed, x)
+    return Fraction(_shortfall(masses, widths, xs), denom)
 
 
 def eval_f(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
@@ -209,9 +234,7 @@ def eval_f(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
     Evaluated on integers scaled to one denominator, so the result is exact.
     """
     vec = service_vector(v)
-    # testing the numerator is cheaper than Fraction.__bool__
-    placed = [(i, e) for i, e in enumerate(vec) if e.numerator]
-    return _eval_placed(len(vec), placed, _positive(x))
+    return _eval_placed(len(vec), _placement(vec), _positive(x))
 
 
 def eval_f_row(v: Iterable[RationalLike], x: RationalLike, j: int) -> Fraction:
@@ -228,12 +251,13 @@ def eval_f_row(v: Iterable[RationalLike], x: RationalLike, j: int) -> Fraction:
 def strict_pair_sum(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
     """Shortfall over intervals of length at least two (the variance bracket term).
 
-    This is the total shortfall minus its singleton intervals: x for each
-    zero entry and (x - mass)^+ for each mass.
+    This is the total shortfall of the vector's placement minus its
+    singleton intervals: x for each zero entry and (x - mass)^+ for each mass.
     """
-    vals, xs, denom = _scaled(v, x)
-    masses, widths = _runs(vals)
-    singles = xs * (len(vals) - len(masses)) + sum(xs - e for e in masses if e < xs)
+    vec = service_vector(v)
+    n = len(vec)
+    masses, widths, xs, denom = _scaled_placement(n, _placement(vec), _positive(x))
+    singles = xs * (n - len(masses)) + sum(xs - e for e in masses if e < xs)
     return Fraction(_shortfall(masses, widths, xs) - singles, denom)
 
 

@@ -26,6 +26,7 @@ from extopt.combinatorial import (
     phi,
 )
 from extopt.model import as_rational, is_in_upsilon
+from helpers import primes_between
 
 F = Fraction
 
@@ -222,6 +223,53 @@ class TestDeltaSearch:
                 a_value(i, cert.delta1), a_value(i, cert.delta2)
             )
             assert a_value(i, cert.delta_star) == min(cert.a_delta1, cert.a_delta2)
+
+    @staticmethod
+    def scan_class(i: Instance, parity: int) -> int:
+        # linear reference: the first delta of the class whose second difference,
+        # from the Fraction formula of a_value, is positive, else the class top;
+        # every value it reads is checked against a_value and phi
+        def a(d):
+            return i.x * (h(i.m, i.n + 1 - d) + F(d * (d - 1), 2)) - i.r * (d // 2) * ((d + 1) // 2)
+
+        top = i.n + 1 - i.m
+        top -= (top - parity) % 2
+        d, a_d = parity, a(parity)
+        assert a_value(i, d) == a_d
+        while d < top:
+            a_next = a(d + 2)
+            assert a_value(i, d + 2) == a_next
+            assert phi(i, d) == a_next - a_d
+            if a_next - a_d > 0:
+                break
+            d, a_d = d + 2, a_next
+        return d
+
+    def check_against_scan(self, i: Instance):
+        cert = delta_search(i)
+        assert (cert.delta1, cert.delta2) == (self.scan_class(i, 1), self.scan_class(i, 2))
+        assert (cert.a_delta1, cert.a_delta2) == (a_value(i, cert.delta1), a_value(i, cert.delta2))
+
+    @pytest.mark.parametrize("x", [F(1), F(7, 3), F(2**20 + 1, 2**20)], ids=["1", "7/3", "2^20+1"])
+    def test_integer_search_matches_linear_scan(self, x):
+        for n in range(2, 41):
+            for m in range(1, n):
+                for k in range(12):
+                    self.check_against_scan(Instance(n, x, m * x + F(k, 12)))
+
+    def test_integer_search_beyond_64_bits(self):
+        # x and r with coprime denominators near 10^6: the scaled integers of
+        # the search pass 2^64
+        primes = primes_between(999_000, 1_000_000)
+        rng = random.Random(64)
+        for n in range(2, 41):
+            for m in range(1, n):
+                p, q1, q2, q3 = rng.sample(primes, 4)
+                x = F(rng.randint(p, 5 * p), p)
+                r = F(rng.randint(1, q1 * q2 * q3 - 1), q1 * q2 * q3)
+                i = Instance(n, x, m * x + r * x)
+                assert math.lcm(i.x.denominator, i.r.denominator) > 2**64
+                self.check_against_scan(i)
 
     @pytest.mark.parametrize(
         "n,x,w,expected",

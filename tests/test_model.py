@@ -186,6 +186,26 @@ class TestStrictPairSum:
             assert eval_f(v, x) == diagonal + strict_pair_sum(v, x)
             assert strict_pair_sum(v, x) == naive_strict_pairs(v, x)
 
+    @pytest.mark.parametrize("shared_zero", [True, False], ids=["shared-zero", "distinct-zeros"])
+    def test_sparse_vectors_match_naive(self, shared_zero):
+        # long zero runs around 0-4 masses; the zeros are either one Fraction(0)
+        # object repeated or a fresh object each, as the variance command and
+        # a parsed vector give them
+        rng = random.Random(2024)
+        q = QueueParams(F(1, 3), F(2), F(7))
+        cases = [(n, k) for n in (1, 2, 6, 19, 47) for k in range(min(n, 4) + 1)]
+        cases.append((200, 4 if shared_zero else 3))
+        for n, k in cases:
+            x = F(rng.randint(1, 30), rng.randint(1, 9))
+            zero = F(0)
+            v = [zero if shared_zero else F(0) for _ in range(n)]
+            for i in rng.sample(range(n), k):
+                v[i] = x * F(rng.randint(1, 15), 8)  # below, at and above x
+            pairs = naive_strict_pairs(v, x)
+            assert strict_pair_sum(v, x) == pairs
+            factor = q.lam * q.mu2 / (1 - q.rho) ** 3
+            assert externality_variance(q, v, x) == factor * (n * x + 2 * pairs)
+
 
 class TestLargeDenominators:
     # pairwise coprime entry denominators near 10^6 and an x over 2^20 make

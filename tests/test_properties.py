@@ -3,13 +3,13 @@
 import json
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from extopt import Instance, eval_f, solve_combinatorial, solve_continuous
+from extopt import Instance, ValidationError, eval_f, solve_combinatorial, solve_continuous
 from extopt.certificate import DualCertificate, dual_certificate
 from extopt.cli import _dumps
-from extopt.model import strict_pair_sum
+from extopt.model import as_rational, service_vector, strict_pair_sum
 from helpers import naive_f, naive_strict_pairs
 
 F = Fraction
@@ -71,6 +71,55 @@ def sparse_vectors(draw, fewest, most):
 def test_gap_form_kernel_matches_the_naive_sums(v, x):
     assert eval_f(v, x) == naive_f(v, x)
     assert strict_pair_sum(v, x) == naive_strict_pairs(v, x)
+
+
+def converted_entry_by_entry(v):
+    """The vector check applied to every entry on its own, with its error."""
+    try:
+        vec = tuple(map(as_rational, v))
+        if not vec:
+            raise ValidationError("service vector must have at least one entry")
+        if any(e < 0 for e in vec):
+            raise ValidationError("service vector entries must be nonnegative")
+    except ValidationError as exc:
+        return "error", str(exc)
+    return "ok", vec
+
+
+# ints, "p/q" and decimal strings, Fractions, and entries service_vector refuses
+entry_objects = st.one_of(
+    st.integers(-3, 20),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-5, 30), st.integers(0, 9)),
+    st.builds(lambda p, k: f"{p / 10**k:.{k}f}", st.integers(-5, 300), st.integers(0, 3)),
+    st.builds(F, st.integers(-4, 40), st.integers(1, 12)),
+    st.sampled_from([1.0, True, False, "abc", None]),
+)
+
+
+@st.composite
+def vectors_with_shared_entries(draw):
+    """A list whose entries are drawn, by reference, from a pool of objects, so
+    the same object recurs; fresh objects of equal value recur too."""
+    pool = draw(st.lists(entry_objects, min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    return [pool[k] for k in picks]
+
+
+@DERANDOMIZED
+@given(v=vectors_with_shared_entries())
+@example(v=[])
+@example(v=[F(1, 2)] + [F(-1, 3)] * 4)
+@example(v=[F(0)] + [1.0] * 3)
+@example(v=[True])
+@example(v=[F(0), F(0), "0", "1/4", "0.25", 3])
+def test_service_vector_converts_as_entry_by_entry(v):
+    try:
+        outcome = "ok", service_vector(v)
+    except ValidationError as exc:
+        outcome = "error", str(exc)
+    assert outcome == converted_entry_by_entry(v)
+    if outcome[0] == "ok":
+        assert all(type(e) is F for e in outcome[1])
 
 
 @DERANDOMIZED
