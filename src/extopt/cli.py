@@ -212,11 +212,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for n, w in rows:
             inst = Instance(n=n, x=x, w=w)
             comb = solve_combinatorial(inst)
-            cont = solve_continuous(inst)
-            statuses.add(cont.status)
             oracle_field = ""
             if args.with_oracle:
-                oracle_field = _frac(verify_conjecture(inst).oracle_value)
+                verified = verify_conjecture(inst)
+                cont = verified.construction
+                oracle_field = _frac(verified.oracle_value)
+            else:
+                cont = solve_continuous(inst)
+            statuses.add(cont.status)
             writer.writerow(
                 [
                     n,

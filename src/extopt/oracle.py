@@ -28,7 +28,7 @@ from .combinatorial import _scale
 from .continuous import solve_continuous
 from .errors import ConstructionError, SizeCapError, ValidationError
 from .model import Instance, _runs, _scaled, _shortfall, eval_f
-from .report import CONFIRMED, VIOLATED
+from .report import CONFIRMED, VIOLATED, SolveReport
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,15 +67,20 @@ class VerifyReport:
     ``oracle_value`` equals the construction's objective, so the duo vector
     ``oracle_point`` is optimal.  VIOLATED: ``oracle_point`` is a rational
     point summing to w whose exact objective ``oracle_value`` is below the
-    construction's.  The float views serve the JSON report.
+    construction's.  ``construction`` is the solve of the duo vector that
+    was checked.  The float views serve the JSON report.
     """
 
     instance: Instance
-    constructed_objective: Fraction
+    construction: SolveReport
     status: str
     oracle_point: tuple[Fraction, ...]
     oracle_value: Fraction
     certificate: DualCertificate | None
+
+    @property
+    def constructed_objective(self) -> Fraction:
+        return self.construction.objective
 
     @property
     def oracle_objective(self) -> float:
@@ -453,7 +458,7 @@ def verify_conjecture(inst: Instance) -> VerifyReport:
         status, point, value, cert = VIOLATED, found, eval_f(found, inst.x), None
     return VerifyReport(
         instance=inst,
-        constructed_objective=report.objective,
+        construction=report,
         status=status,
         oracle_point=tuple(point),
         oracle_value=value,

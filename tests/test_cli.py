@@ -15,7 +15,7 @@ import pytest
 from extopt import Instance, SizeCapError, solve_combinatorial
 from extopt.cli import _sweep_rows, main
 from extopt.combinatorial import a_value
-from extopt.continuous import closed_form_objective, tau
+from extopt.continuous import closed_form_objective, solve_continuous, tau
 from helpers import bisect_f
 
 F = Fraction
@@ -283,6 +283,28 @@ class TestSweep:
         with out_path.open() as handle:
             (row,) = list(csv.DictReader(handle))
         assert row["objective_oracle"] == row["objective_closed"] == "497/12"
+
+    def test_with_oracle_solves_each_row_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(inst):
+            calls.append(inst)
+            return solve_continuous(inst)
+
+        monkeypatch.setattr("extopt.cli.solve_continuous", counted)
+        monkeypatch.setattr("extopt.oracle.solve_continuous", counted)
+        out_path = tmp_path / "once.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "sweep", "--n-from", "5", "--n-to", "7", "-x", "1",
+            "--w-from", "0.5", "--w-to", "4", "--w-step", "0.5",
+            "--output", str(out_path), "--with-oracle",
+        )
+        assert code == 0
+        with out_path.open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == len(calls) == 24
+        assert len(set(calls)) == len(calls)
 
 
 class TestVariance:

@@ -26,6 +26,7 @@ from extopt import (
     solve_continuous,
     verify_conjecture,
 )
+from extopt.combinatorial import near_equidistant_parts
 from extopt.model import as_rational
 from extopt.certificate import DualCertificate, _max_flow, check_certificate, dual_certificate
 from extopt.oracle import (
@@ -36,7 +37,7 @@ from extopt.oracle import (
     project_to_simplex,
     subgradient,
 )
-from helpers import naive_f, naive_grid, random_lambda_member, reference_project_rows
+from helpers import naive_f, naive_grid, random_lambda_member, reference_project_rows, twelfths_grid
 
 F = Fraction
 
@@ -417,6 +418,60 @@ class TestDualCertificate:
         flow, level = _max_flow(graph, heads, caps, 0, n - 1)
         assert flow == 2
         assert level[0] == 0 and max(level[1:]) == -1
+
+
+def _flow_must_not_run(*args, **kwargs):
+    raise AssertionError("the max-flow fallback ran")
+
+
+def chord_mu(n, m):
+    """P(m) - P(m+1), where P(k) sums g(g-1)/2 over the k+1 near-equal parts of n+1."""
+    def pairs(k):
+        return sum(g * (g - 1) // 2 for g in near_equidistant_parts(k + 1, n + 1))
+    return pairs(m) - pairs(m + 1)
+
+
+class TestGreedyCertificate:
+    def test_matches_the_flow_over_the_grid(self, monkeypatch):
+        cases = []
+        with monkeypatch.context() as patched:
+            patched.setattr("extopt.certificate._max_flow", _flow_must_not_run)
+            for n, x, w in twelfths_grid():
+                i = inst(n, x, w)
+                duo = solve_continuous(i).vector
+                cases.append((i, duo, dual_certificate(duo, i)))
+        # with the greedy off, dual_certificate is the flow alone
+        monkeypatch.setattr("extopt.certificate._greedy_certificate", lambda *args: None)
+        for i, duo, greedy in cases:
+            flow = dual_certificate(duo, i)
+            assert greedy.mu == flow.mu == chord_mu(i.n, i.m)
+            assert len(greedy.tight) == len(flow.tight)
+            assert (greedy.tight_count, greedy.unsaturated_count) == (
+                flow.tight_count, flow.unsaturated_count)
+            assert check_certificate(duo, i, greedy) == check_certificate(duo, i, flow) is not None
+
+    def test_verify_never_needs_the_flow(self, monkeypatch):
+        monkeypatch.setattr("extopt.certificate._max_flow", _flow_must_not_run)
+        cases = [inst(n, x, w) for n, x, w in twelfths_grid()]
+        # the seven instances of perfbench's verify workload
+        shapes = [(6, 1, 7), (5, 1, 5), (19, 2, 11), (14, 6, 7), (11, 2, 7), (32, 8, 11), (120, 37, 4)]
+        cases += [inst(n, 1, m + F(j, 12)) for n, m, j in shapes]
+        for i in cases:
+            assert verify_conjecture(i).status == CONFIRMED
+
+    def test_verify_certifies_a_sparse_vector_at_n_1000(self, monkeypatch):
+        # 111,389 tight intervals: the flow takes tens of seconds here
+        monkeypatch.setattr("extopt.certificate._max_flow", _flow_must_not_run)
+        report = verify_conjecture(inst(1000, 1, "5/2"))
+        assert report.status == CONFIRMED
+        cert = report.certificate
+        assert (cert.mu, cert.tight_count) == (chord_mu(1000, 2), 111389) == (41750, 111389)
+
+    def test_flow_still_certifies_when_the_greedy_finds_nothing(self, monkeypatch):
+        monkeypatch.setattr("extopt.certificate._greedy_certificate", lambda *args: None)
+        report = verify_conjecture(inst(9, 1, "2.5"))
+        assert report.status == CONFIRMED
+        assert report.oracle_value == report.constructed_objective
 
 
 class TestVerifyDecision:

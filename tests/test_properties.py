@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from extopt import Instance, ValidationError, eval_f, solve_combinatorial, solve_continuous
-from extopt.certificate import DualCertificate, dual_certificate
+from extopt.certificate import DualCertificate, check_certificate, dual_certificate
 from extopt.cli import _dumps
 from extopt.model import as_rational, service_vector, strict_pair_sum
 from helpers import naive_f, naive_strict_pairs
@@ -42,6 +42,24 @@ def test_certified_bound_is_below_every_feasible_point(inst, data):
     spend = data.draw(st.sampled_from([F(1), F(1, 2), F(0)]))
     u = [inst.w * spend * p / sum(parts) for p in parts]
     assert bound <= naive_f(u, inst.x)
+
+
+@DERANDOMIZED
+@given(inst=instances(), data=st.data())
+def test_certificate_or_a_better_point(inst, data):
+    # a random feasible v: nonnegative parts of w, mixed with the duo vector
+    # in a drawn share, so that the greedy and the flow both get to decide
+    parts = data.draw(st.lists(st.integers(0, 8), min_size=inst.n, max_size=inst.n))
+    assume(sum(parts) > 0)
+    share = data.draw(st.sampled_from([F(0), F(1, 2), F(1)]))
+    duo = solve_continuous(inst).vector
+    v = [share * d + (1 - share) * inst.w * p / sum(parts) for d, p in zip(duo, parts)]
+    found = dual_certificate(v, inst)
+    if isinstance(found, DualCertificate):
+        assert check_certificate(v, inst, found) == naive_f(v, inst.x)
+    else:
+        assert len(found) == inst.n and min(found) >= 0 and sum(found) == inst.w
+        assert naive_f(found, inst.x) < naive_f(v, inst.x)
 
 
 @DERANDOMIZED
