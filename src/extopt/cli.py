@@ -6,8 +6,9 @@ Rationals are serialized as exact "p/q" strings so reports round-trip.
 Exit codes: 0 success/CONFIRMED, 1 internal error, 2 invalid input or cap
 exceeded, 3 trivial or unstable regime, 4 INCONCLUSIVE verification, 5
 VIOLATED verification.  verify decides by an exact certificate, so it returns
-0 or 5; 4 stays reserved.  sweep --with-oracle writes that certificate's
-exact bound per row, so no command loads numpy.
+0; 5 only when the vector checked is beaten by the duo construction, and 1
+on a failed self-check; 4 stays reserved.  sweep --with-oracle writes that
+certificate's exact bound per row, so no command loads numpy.
 """
 
 from __future__ import annotations

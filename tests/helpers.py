@@ -70,6 +70,116 @@ def bisect_f(v, x) -> Fraction:
     return Fraction(total, denom)
 
 
+def max_flow(
+    graph: list[list[int]], heads: list[int], caps: list[int], source: int, sink: int
+) -> tuple[int, list[int]]:
+    """Dinic's maximum flow; ``caps`` holds residual capacities, updated in place.
+
+    Arc a runs into ``heads[a]`` and its reverse is a ^ 1; ``graph[u]`` lists
+    the arcs out of u.  Returns the flow value and the levels of the last
+    breadth-first search: a level >= 0 marks a node the source still reaches
+    in the residual graph.  The search for augmenting paths keeps its path
+    in a list, so its depth is not bounded by the recursion limit.
+    """
+    flow = 0
+    while True:
+        level = [-1] * len(graph)
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for a in graph[u]:
+                if caps[a] and level[heads[a]] < 0:
+                    level[heads[a]] = level[u] + 1
+                    queue.append(heads[a])
+        if level[sink] < 0:
+            return flow, level
+        nxt = [0] * len(graph)  # per node, the first out-arc not yet found useless
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(caps[a] for a in path)
+                for a in path:
+                    caps[a] -= push
+                    caps[a ^ 1] += push
+                flow += push
+                path.clear()
+                u = source
+                continue
+            arcs, i = graph[u], nxt[u]
+            while i < len(arcs) and not (caps[arcs[i]] and level[heads[arcs[i]]] == level[u] + 1):
+                i += 1
+            nxt[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = heads[arcs[i]]
+            elif u == source:
+                break
+            else:  # dead end: step back and skip the arc that led here
+                u = heads[path.pop() ^ 1]
+                nxt[u] += 1
+
+
+def flow_certificate(v, x) -> tuple[int, list[tuple[int, int]]] | None:
+    """The LP dual certificate of v for any μ, by one integer max-flow: μ and
+    the tight intervals [k, e) with α = 1; None when no weights prove v optimal.
+
+    The weights are a circulation on the prefix boundaries 0..n: interval
+    [k, e) is the arc k -> e, fixed at 1 when unsaturated and in [0, 1] when
+    tight; each v_i = 0 adds an unbounded slack arc i -> i+1, and the
+    unbounded return arc n -> 0 carries μ.  Interval matrices are totally
+    unimodular, so the flow from a super source to a super sink that carry
+    the lower bounds finds integral weights whenever any exist.  Every
+    interval is classified by a plain double loop.
+    """
+    v = [Fraction(e) for e in v]
+    x = Fraction(x)
+    n = len(v)
+    denom = math.lcm(x.denominator, *(e.denominator for e in v))
+    xs = int(x * denom)
+    prefix = list(itertools.accumulate((int(e * denom) for e in v), initial=0))
+    excess = [0] * (n + 1)
+    tight = []
+    for k in range(n):
+        for e in range(k + 1, n + 1):
+            s = prefix[e] - prefix[k]
+            if s < xs:  # the arc fixed at 1 leaves -1 at its tail, +1 at its head
+                excess[k] -= 1
+                excess[e] += 1
+            elif s == xs:
+                tight.append((k, e))
+
+    source, sink = n + 1, n + 2
+    graph: list[list[int]] = [[] for _ in range(n + 3)]
+    heads: list[int] = []
+    caps: list[int] = []
+
+    def add_arc(tail: int, head: int, cap: int) -> int:
+        graph[tail].append(len(heads))
+        heads.append(head)
+        caps.append(cap)
+        graph[head].append(len(heads))
+        heads.append(tail)
+        caps.append(0)
+        return len(heads) - 2
+
+    supply = sum(b for b in excess if b > 0)
+    unbounded = supply + 1  # more than any flow
+    for j, b in enumerate(excess):
+        if b > 0:
+            add_arc(source, j, b)
+        elif b < 0:
+            add_arc(j, sink, -b)
+    tight_arcs = [add_arc(k, e, 1) for k, e in tight]
+    for i in range(n):
+        if v[i] == 0:
+            add_arc(i, i + 1, unbounded)
+    back = add_arc(n, 0, unbounded)
+    if max_flow(graph, heads, caps, source, sink)[0] < supply:
+        return None
+    return caps[back ^ 1], [iv for iv, a in zip(tight, tight_arcs) if not caps[a]]
+
+
 def naive_grid(inst, resolution: int) -> tuple[list[tuple[Fraction, ...]], Fraction]:
     """Every minimizer of ``naive_f`` over the compositions of the budget in
     steps of w/resolution, in lexicographic order, and the minimum."""
@@ -142,6 +252,23 @@ def random_lambda_member(rng: random.Random, inst) -> tuple[Fraction, ...]:
         if remaining == 0:
             break
     assert remaining == 0
+    return tuple(v)
+
+
+def shuffled_duo(rng: random.Random, inst) -> tuple[Fraction, ...]:
+    """(1 − t)·E_m + t·E_{m+1} with t = r/x: E_k puts a mass x at the ends of
+    the k+1 near-equal parts of n+1, taken in random order, so the two
+    layers need not interleave.  Optimal by the chord theorem."""
+    n, x = inst.n, inst.x
+    m = inst.w // x
+    r = inst.w - m * x
+    v = [Fraction(0)] * n
+    for k, mass in ((m, x - r), (m + 1, r)):
+        q, extra = divmod(n + 1, k + 1)
+        gaps = [q + 1] * extra + [q] * (k + 1 - extra)
+        rng.shuffle(gaps)
+        for at in itertools.accumulate(gaps[:-1]):
+            v[at - 1] += mass
     return tuple(v)
 
 

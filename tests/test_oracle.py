@@ -28,7 +28,7 @@ from extopt import (
 )
 from extopt.combinatorial import near_equidistant_parts
 from extopt.model import as_rational
-from extopt.certificate import DualCertificate, _max_flow, check_certificate, dual_certificate
+from extopt.certificate import DualCertificate, check_certificate, dual_certificate
 from extopt.oracle import (
     _project_rows,
     _shortfall_and_gradient,
@@ -37,7 +37,16 @@ from extopt.oracle import (
     project_to_simplex,
     subgradient,
 )
-from helpers import naive_f, naive_grid, random_lambda_member, reference_project_rows, twelfths_grid
+from helpers import (
+    flow_certificate,
+    max_flow,
+    naive_f,
+    naive_grid,
+    random_lambda_member,
+    reference_project_rows,
+    shuffled_duo,
+    twelfths_grid,
+)
 
 F = Fraction
 
@@ -415,13 +424,9 @@ class TestDualCertificate:
             graph[u + 1].append(len(heads))
             heads.append(u)
             caps.append(0)
-        flow, level = _max_flow(graph, heads, caps, 0, n - 1)
+        flow, level = max_flow(graph, heads, caps, 0, n - 1)
         assert flow == 2
         assert level[0] == 0 and max(level[1:]) == -1
-
-
-def _flow_must_not_run(*args, **kwargs):
-    raise AssertionError("the max-flow fallback ran")
 
 
 def chord_mu(n, m):
@@ -432,26 +437,18 @@ def chord_mu(n, m):
 
 
 class TestGreedyCertificate:
-    def test_matches_the_flow_over_the_grid(self, monkeypatch):
-        cases = []
-        with monkeypatch.context() as patched:
-            patched.setattr("extopt.certificate._max_flow", _flow_must_not_run)
-            for n, x, w in twelfths_grid():
-                i = inst(n, x, w)
-                duo = solve_continuous(i).vector
-                cases.append((i, duo, dual_certificate(duo, i)))
-        # with the greedy off, dual_certificate is the flow alone
-        monkeypatch.setattr("extopt.certificate._greedy_certificate", lambda *args: None)
-        for i, duo, greedy in cases:
-            flow = dual_certificate(duo, i)
-            assert greedy.mu == flow.mu == chord_mu(i.n, i.m)
-            assert len(greedy.tight) == len(flow.tight)
-            assert (greedy.tight_count, greedy.unsaturated_count) == (
-                flow.tight_count, flow.unsaturated_count)
+    def test_matches_the_flow_over_the_grid(self):
+        for n, x, w in twelfths_grid():
+            i = inst(n, x, w)
+            duo = solve_continuous(i).vector
+            greedy = dual_certificate(duo, i)
+            mu, tight = flow_certificate(duo, x)
+            assert greedy.mu == mu == chord_mu(n, i.m)
+            assert len(greedy.tight) == len(tight)
+            flow = replace(greedy, mu=mu, tight=tuple(tight))
             assert check_certificate(duo, i, greedy) == check_certificate(duo, i, flow) is not None
 
-    def test_verify_never_needs_the_flow(self, monkeypatch):
-        monkeypatch.setattr("extopt.certificate._max_flow", _flow_must_not_run)
+    def test_verify_never_needs_the_flow(self):
         cases = [inst(n, x, w) for n, x, w in twelfths_grid()]
         # the seven instances of perfbench's verify workload
         shapes = [(6, 1, 7), (5, 1, 5), (19, 2, 11), (14, 6, 7), (11, 2, 7), (32, 8, 11), (120, 37, 4)]
@@ -459,19 +456,50 @@ class TestGreedyCertificate:
         for i in cases:
             assert verify_conjecture(i).status == CONFIRMED
 
-    def test_verify_certifies_a_sparse_vector_at_n_1000(self, monkeypatch):
-        # 111,389 tight intervals: the flow takes tens of seconds here
-        monkeypatch.setattr("extopt.certificate._max_flow", _flow_must_not_run)
+    def test_verify_certifies_a_sparse_vector_at_n_1000(self):
+        # 111,389 tight intervals: the reference flow takes tens of seconds here
         report = verify_conjecture(inst(1000, 1, "5/2"))
         assert report.status == CONFIRMED
         cert = report.certificate
         assert (cert.mu, cert.tight_count) == (chord_mu(1000, 2), 111389) == (41750, 111389)
 
-    def test_flow_still_certifies_when_the_greedy_finds_nothing(self, monkeypatch):
+    def test_without_the_greedy_only_a_beaten_vector_gets_a_point(self, monkeypatch):
         monkeypatch.setattr("extopt.certificate._greedy_certificate", lambda *args: None)
-        report = verify_conjecture(inst(9, 1, "2.5"))
-        assert report.status == CONFIRMED
-        assert report.oracle_value == report.constructed_objective
+        # the construction does not beat itself: a failed self-check
+        with pytest.raises(ConstructionError):
+            verify_conjecture(inst(9, 1, "2.5"))
+        i = inst(7, 1, "2.2")
+        point = dual_certificate(solve_combinatorial(i).vector, i)
+        assert point == solve_continuous(i).vector
+        assert naive_f(point, i.x) == F(32, 5)
+
+    def test_decides_as_the_reference_flow(self):
+        # shuffled-layer duos, optimal, mixed with random members of the
+        # slab in a random share, mostly not optimal
+        rng = random.Random(15)
+        decided = {True: 0, False: 0}
+        for _ in range(1500):
+            n = rng.randint(1, 12)
+            x = F(rng.randint(1, 4), rng.randint(1, 3))
+            i = inst(n, x, x * F(rng.randint(1, 12 * n - 1), 12))
+            share = rng.choice([F(1), F(1), F(3, 4), F(1, 2), F(0)])
+            v = tuple(share * d + (1 - share) * u
+                      for d, u in zip(shuffled_duo(rng, i), random_lambda_member(rng, i)))
+            found = dual_certificate(v, i)
+            certified = isinstance(found, DualCertificate)
+            assert certified == (flow_certificate(v, x) is not None)
+            decided[certified] += 1
+            if certified:
+                assert check_certificate(v, i, found) == naive_f(v, x)
+            else:
+                assert found == solve_continuous(i).vector
+                assert naive_f(found, x) < naive_f(v, x)
+        assert min(decided.values()) > 300
+
+    def test_beats_a_sparse_non_optimal_vector_at_n_600(self):
+        # the structured optimum is not a continuous one
+        i = inst(600, 1, "5/2")
+        assert dual_certificate(solve_combinatorial(i).vector, i) == solve_continuous(i).vector
 
 
 class TestVerifyDecision:

@@ -48,7 +48,7 @@ def test_certified_bound_is_below_every_feasible_point(inst, data):
 @given(inst=instances(), data=st.data())
 def test_certificate_or_a_better_point(inst, data):
     # a random feasible v: nonnegative parts of w, mixed with the duo vector
-    # in a drawn share, so that the greedy and the flow both get to decide
+    # in a drawn share, so that some are certified and some are beaten
     parts = data.draw(st.lists(st.integers(0, 8), min_size=inst.n, max_size=inst.n))
     assume(sum(parts) > 0)
     share = data.draw(st.sampled_from([F(0), F(1, 2), F(1)]))
