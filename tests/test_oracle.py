@@ -408,6 +408,17 @@ class TestDualCertificate:
         assert solve_continuous(i).status == "CONJECTURED"
         assert verify_conjecture(i).status == CONFIRMED
 
+    def test_takes_the_vector_as_a_generator(self):
+        # each function reads v once, so a one-pass iterable must do
+        i = inst(9, 1, "2.5")
+        duo = solve_continuous(i).vector
+        cert = dual_certificate((e for e in duo), i)
+        assert isinstance(cert, DualCertificate)
+        assert check_certificate((e for e in duo), i, cert) == naive_f(duo, i.x)
+        structured = solve_combinatorial(inst(7, 1, "2.2")).vector
+        point = dual_certificate((e for e in structured), inst(7, 1, "2.2"))
+        assert naive_f(point, 1) < naive_f(structured, 1)
+
     def test_rejects_a_vector_off_the_budget(self):
         with pytest.raises(ValidationError):
             dual_certificate((F(1), F(0)), inst(2, 1, "1.5"))

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from extopt import ConstructionError, Instance, solve_continuous
+from extopt import ConstructionError, Instance, eval_f, solve_combinatorial, solve_continuous
 from extopt.combinatorial import _gamma_placed, build_gamma_member
 from extopt.continuous import build_duo
 from extopt.model import as_rational
@@ -63,3 +63,14 @@ class TestGammaPlacement:
                 assert _gamma_placed(i, delta) == nonzero(member)
                 built += 1
         assert built > 200
+
+
+class TestLargePlacements:
+    def test_solvers_score_the_vector_they_emit_at_n_10000(self):
+        # thousands of masses: a colliding duo (y + r = x on shared slots), a
+        # strictly interleaving duo (every mass below x), and r = 0; the
+        # vector path re-derives the placement from the emitted vector
+        for w in (F(6667, 2), 4999 + F(5, 12), F(2500)):
+            i = Instance(10000, F(1), w)
+            for report in (solve_continuous(i), solve_combinatorial(i)):
+                assert eval_f(report.vector, i.x) == report.objective

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from extopt import Instance, ValidationError, eval_f, solve_combinatorial, solve_continuous
 from extopt.certificate import DualCertificate, check_certificate, dual_certificate
 from extopt.cli import _dumps
-from extopt.model import as_rational, service_vector, strict_pair_sum
+from extopt.model import (
+    _eval_placed, _materialize, as_rational, service_vector, strict_pair_sum,
+)
 from helpers import naive_f, naive_strict_pairs
 
 F = Fraction
@@ -89,6 +91,33 @@ def sparse_vectors(draw, fewest, most):
 def test_gap_form_kernel_matches_the_naive_sums(v, x):
     assert eval_f(v, x) == naive_f(v, x)
     assert strict_pair_sum(v, x) == naive_strict_pairs(v, x)
+
+
+@st.composite
+def shared_placements(draw):
+    """(n, placement, x) with n <= 40 whose masses are a few shared objects:
+    exactly x, above x, just below x and one drawn mass, as a solver's
+    placement repeats x and r; fresh objects of equal value recur too."""
+    n = draw(st.integers(1, 40))
+    x = draw(positive_rationals)
+    pool = [x, x + draw(masses), x - x / draw(st.integers(2, 1000)), draw(masses)]
+    at = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    placed = []
+    for i in at:
+        e = pool[draw(st.integers(0, len(pool) - 1))]
+        if draw(st.booleans()):
+            e = F(e.numerator, e.denominator)  # an equal object, not the same one
+        placed.append((i, e))
+    return n, placed, x
+
+
+@DERANDOMIZED
+@given(case=shared_placements())
+def test_placement_kernel_matches_the_naive_sums(case):
+    n, placed, x = case
+    vec = _materialize(n, placed)
+    assert _eval_placed(n, placed, x) == naive_f(vec, x)
+    assert strict_pair_sum(vec, x) == naive_strict_pairs(vec, x)
 
 
 def converted_entry_by_entry(v):
