@@ -19,7 +19,7 @@ from typing import Iterable
 from .combinatorial import _twice_h
 from .continuous import solve_continuous
 from .errors import ConstructionError, ValidationError
-from .model import Instance, _scaled, eval_f, service_vector
+from .model import Instance, _scaled, eval_f
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,7 @@ def dual_certificate(v: Iterable, inst: Instance) -> DualCertificate | tuple[Fra
     Its objective is checked against f(v) in exact arithmetic; a
     construction that is not strictly better raises ConstructionError.
     """
-    vec = service_vector(v)
-    vals, xs, denom = _scaled(vec, inst.x)
+    vec, vals, xs, denom = _scaled(v, inst.x)
     prefix = list(itertools.accumulate(vals, initial=0))
     if not _on_budget(prefix, denom, inst):
         raise ValidationError(f"v must have {inst.n} entries summing to w = {inst.w}")
@@ -175,8 +174,7 @@ def check_certificate(v: Iterable, inst: Instance, cert: DualCertificate) -> Fra
     in ``cert.tight``, which must be distinct and tight.  So the answer does
     not depend on how the certificate was found.
     """
-    vec = service_vector(v)
-    vals, xs, denom = _scaled(vec, inst.x)
+    vec, vals, xs, denom = _scaled(v, inst.x)
     prefix = list(itertools.accumulate(vals, initial=0))
     n = len(vec)
     tight = set(cert.tight)

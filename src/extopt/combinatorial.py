@@ -221,7 +221,8 @@ def _gamma_placed(inst: Instance, delta: int) -> Placement:
         raise ConstructionError("the widest stretch has no slot for the leftover mass")
     # the leftover sits inside the leading widest stretch, before every x
     placed = [(_stretch_middles(1, delta - 1)[0] - 1, r)] if r > 0 else []
-    placed.extend((pos - 1, x) for pos in _positions_from_gaps((delta,) + rest, m))
+    # the x-masses end the first m gaps: 0-based, at delta - 1 plus rest's partial sums
+    placed.extend(zip(itertools.accumulate(rest[:m - 1], initial=delta - 1), itertools.repeat(x)))
     return placed
 
 

@@ -137,32 +137,34 @@ def _positive(x: RationalLike) -> Fraction:
     return xq
 
 
-def _scaled(v: Iterable[RationalLike], x: RationalLike) -> tuple[list[int], int, int]:
+def _scaled(
+    v: Iterable[RationalLike], x: RationalLike
+) -> tuple[ServiceVector, list[int], int, int]:
     """Validate (v, x) and scale both to integers over one common denominator.
 
-    Returns the scaled entries, the scaled x and the denominator, so every
-    interval sum is an exact integer.
+    Returns the validated vector, its scaled entries, the scaled x and the
+    denominator, so every interval sum is an exact integer.
     """
     vec = service_vector(v)
     xq = _positive(x)
     ratios = [e.as_integer_ratio() for e in vec]
     denom = math.lcm(xq.denominator, *{q for _, q in ratios})
     vals = [p * (denom // q) for p, q in ratios]
-    return vals, xq.numerator * (denom // xq.denominator), denom
+    return vec, vals, xq.numerator * (denom // xq.denominator), denom
 
 
 def _widths(n: int, at: Sequence[int]) -> list[int]:
     """Run widths z_j + 1 of a length-n vector whose K masses sit at the
     ascending indices ``at``: z_j is the number of zeros between mass j and
     mass j+1 (before the first mass for j = 0, after the last for j = K)."""
-    return [b - a for a, b in zip([-1, *at], [*at, n])]
+    return list(map(operator.sub, [*at, n], [-1, *at]))
 
 
 def _runs(vals: Sequence[int]) -> tuple[list[int], list[int]]:
     """Split nonnegative entries into their K nonzero masses and the K+1 run
     widths of `_widths`."""
-    at = [i for i, e in enumerate(vals) if e]
-    return [vals[i] for i in at], _widths(len(vals), at)
+    at = list(itertools.compress(range(len(vals)), vals))
+    return list(filter(None, vals)), _widths(len(vals), at)
 
 
 def _shortfall(masses: Sequence[int], widths: Sequence[int], x: int) -> int:
@@ -173,13 +175,15 @@ def _shortfall(masses: Sequence[int], widths: Sequence[int], x: int) -> int:
     last mass b; it can start anywhere in the z_{a-1}+1 slots ending at mass
     a and end anywhere in the z_b+1 slots starting at mass b, and it falls
     short by x - S_ab, where S_ab is the sum of masses a..b.  Masses are
-    positive, so the scan from each a stops at the first saturated b: the
-    cost is O(K*L) for K masses and L masses before saturation, whatever the
+    positive, so the scan from each a stops at the first saturated b, and a
+    mass of at least x saturates at b = a: only the masses below x start a
+    scan.  The cost is O(U*L) in Python for U masses below x and L masses
+    before saturation, plus C-speed passes over the K masses, whatever the
     number of zeros.
     """
-    total = x * sum(w * (w - 1) for w in widths) // 2
+    total = x * (sum(map(operator.mul, widths, widths)) - sum(widths)) // 2
     k = len(masses)
-    for a in range(k):
+    for a in itertools.compress(range(k), map(operator.gt, itertools.repeat(x), masses)):
         left = widths[a]
         room = x
         for b in range(a, k):
@@ -211,14 +215,17 @@ def _scaled_placement(
     with the run widths of the length-n vector: (masses, widths, x, denom).
 
     Each distinct value object is scaled once, as a placement repeats a few
-    (x, r, ...); the cost is O(masses), whatever n.
+    (x, r, ...); the per-mass passes run at C speed, and the cost is
+    O(masses), whatever n.
     """
     # keyed by id, as in `service_vector`
-    distinct = {id(e): e for _, e in placed}
+    ids = list(map(id, map(operator.itemgetter(1), placed)))
+    distinct = dict(zip(ids, map(operator.itemgetter(1), placed)))
     denom = math.lcm(x.denominator, *[e.denominator for e in distinct.values()])
     scaled = {key: e.numerator * (denom // e.denominator) for key, e in distinct.items()}
-    masses = [scaled[id(e)] for _, e in placed]
-    return masses, _widths(n, [i for i, _ in placed]), x.numerator * (denom // x.denominator), denom
+    masses = list(map(scaled.__getitem__, ids))
+    at = list(map(operator.itemgetter(0), placed))
+    return masses, _widths(n, at), x.numerator * (denom // x.denominator), denom
 
 
 def _eval_placed(n: int, placed: Placement, x: Fraction) -> Fraction:
@@ -239,7 +246,7 @@ def eval_f(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
 
 def eval_f_row(v: Iterable[RationalLike], x: RationalLike, j: int) -> Fraction:
     """Shortfall restricted to the n+1-j intervals of exactly j consecutive indices."""
-    vals, xs, denom = _scaled(v, x)
+    _, vals, xs, denom = _scaled(v, x)
     n = len(vals)
     if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= n:
         raise ValidationError(f"row length j must be an integer in [1, {n}], got {j!r}")
@@ -257,7 +264,8 @@ def strict_pair_sum(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
     vec = service_vector(v)
     n = len(vec)
     masses, widths, xs, denom = _scaled_placement(n, _placement(vec), _positive(x))
-    singles = xs * (n - len(masses)) + sum(xs - e for e in masses if e < xs)
+    below = list(itertools.compress(masses, map(operator.gt, itertools.repeat(xs), masses)))
+    singles = xs * (n - len(masses) + len(below)) - sum(below)
     return Fraction(_shortfall(masses, widths, xs) - singles, denom)
 
 

@@ -206,7 +206,7 @@ def subgradient(v: Iterable, x) -> tuple[Fraction, ...]:
     exactly saturated intervals contribute the midpoint -1/2 of their
     subdifferential range.
     """
-    vals, xs, _ = _scaled(v, x)
+    _, vals, xs, _ = _scaled(v, x)
     prefix = list(itertools.accumulate(vals, initial=0))
     n = len(prefix) - 1
     # weights doubled to stay integral: 2 per unsaturated, 1 per saturated interval
