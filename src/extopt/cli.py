@@ -14,16 +14,19 @@ certificate's exact bound per row, so no command loads numpy.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
+import itertools
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
-from .combinatorial import enumerate_gamma, solve_combinatorial
+from .combinatorial import _gamma_placements, solve_combinatorial
 from .continuous import solve_continuous
 from .errors import (
     SizeCapError,
@@ -33,6 +36,7 @@ from .errors import (
 )
 from .model import (
     Instance,
+    Placement,
     QueueParams,
     as_rational,
     externality_mean,
@@ -51,13 +55,33 @@ def _frac(value: Fraction) -> str:
     return str(value)
 
 
-def _vec(values: Sequence[Fraction]) -> list[str]:
-    # a vector repeats a few entry objects (0, x, r, ...): format each
-    # object once.  Keyed by id, which hashes far faster than a Fraction;
-    # ids stay unique while `values` holds the objects
+class _JSONTexts(list):
+    """The JSON texts of a flat list's items, which `_dumps` joins as they are."""
+
+
+def _vec(n: int, placed: Placement, form: Callable[[Fraction], Any] = _frac) -> _JSONTexts:
+    """The length-n vector whose nonzero entries are ``placed``, each entry
+    written as the JSON text of ``form(entry)``.
+
+    A placement repeats a few value objects (x, r, ...): each distinct one is
+    formatted once, keyed by id, which hashes far faster than a Fraction
+    (ids stay unique while ``placed`` holds the objects).  The texts are
+    scattered over a list of zero texts by C-level passes.
+    """
+    values = list(map(operator.itemgetter(1), placed))
     ids = list(map(id, values))
-    text = {key: _frac(v) for key, v in dict(zip(ids, values)).items()}
-    return list(map(text.__getitem__, ids))
+    distinct = dict(zip(ids, values))
+    # one encoder call for the zero and every distinct entry; a JSON text
+    # holds no raw line break, so the item separator splits the list exactly
+    forms = [form(Fraction(0)), *map(form, distinct.values())]
+    zero, *texts = _encoder("").encode(forms)[1:-1].split(",\n")
+    text = dict(zip(distinct, texts))
+    out = _JSONTexts(itertools.repeat(zero, n))
+    collections.deque(
+        map(out.__setitem__, map(operator.itemgetter(0), placed), map(text.__getitem__, ids)),
+        maxlen=0,
+    )
+    return out
 
 
 def _envelope(command: str, instance: dict[str, Any], result: Any, status: str) -> dict:
@@ -76,7 +100,7 @@ def _instance_dict(inst: Instance) -> dict[str, Any]:
 
 def _solve_result(report: SolveReport) -> dict[str, Any]:
     out: dict[str, Any] = {
-        "vector": _vec(report.vector),
+        "vector": _vec(report.instance.n, report.placed),
         "objective": _frac(report.objective),
         "method": report.method,
     }
@@ -112,8 +136,9 @@ def _encoder(indent: str) -> json.JSONEncoder:
 
 def _dumps(value: Any, indent: str = "") -> str:
     """The bytes of ``json.dumps(value, indent=2)`` for a payload with string
-    keys.  Dicts and nested lists are walked here; a flat list of scalars,
-    such as a vector, goes to the C encoder in one call."""
+    keys, where a `_JSONTexts` stands for the list of its items' values.
+    Dicts and nested lists are walked here; a `_JSONTexts` is joined as it
+    is, and any other flat list of scalars goes to the C encoder in one call."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -124,7 +149,9 @@ def _dumps(value: Any, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if _SCALARS.issuperset(map(type, value)):
+        if isinstance(value, _JSONTexts):
+            body = (",\n" + inner).join(value)
+        elif _SCALARS.issuperset(map(type, value)):
             body = _encoder(inner).encode(value)[1:-1]
         else:
             body = (",\n" + inner).join(_dumps(item, inner) for item in value)
@@ -159,7 +186,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "oracle_objective": report.oracle_objective,
         "gap": report.gap,
         "converged": report.converged,
-        "oracle_minimizer": list(report.oracle_minimizer),
+        "oracle_minimizer": _vec(inst.n, report.oracle_placed, float),
         "certificate": None if cert is None else {
             "mu": cert.mu,
             "lower_bound": _frac(report.oracle_value),
@@ -256,13 +283,13 @@ def _cmd_variance(args: argparse.Namespace) -> int:
     q = QueueParams(lam=lam, mu1=as_rational(args.mu1), mu2=as_rational(args.mu2))
     inst = _make_instance(args)
     cont = solve_continuous(inst)
-    sup_vec = supremum_vector(inst)
     result = {
         "mean": _frac(externality_mean(q, inst.n, inst.x)),
         "variance_min": _frac(externality_variance(q, cont.vector, inst.x)),
-        "variance_sup": _frac(externality_variance(q, sup_vec, inst.x)),
-        "minimizing_vector": _vec(cont.vector),
-        "supremum_vector": _vec(sup_vec),
+        "variance_sup": _frac(externality_variance(q, supremum_vector(inst), inst.x)),
+        "minimizing_vector": _vec(inst.n, cont.placed),
+        # the placement of supremum_vector(inst)
+        "supremum_vector": _vec(inst.n, [(0, inst.w)]),
     }
     instance = _instance_dict(inst)
     instance["queue"] = {"lambda": _frac(q.lam), "mu1": _frac(q.mu1), "mu2": _frac(q.mu2)}
@@ -275,11 +302,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     comb = solve_combinatorial(inst)
     delta = args.delta if args.delta is not None else comb.delta_star
     cap = args.cap if args.cap is not None else 20
-    members = enumerate_gamma(inst, delta, cap=cap)
+    members = _gamma_placements(inst, delta, cap)
     result = {
         "delta": delta,
         "count": len(members),
-        "members": [_vec(mem) for mem in members],
+        "members": [_vec(inst.n, placed) for placed in members],
     }
     status = PROVEN if delta == comb.delta_star else INCONCLUSIVE
     _emit(_envelope("enumerate", _instance_dict(inst), result, status))

@@ -11,6 +11,7 @@ of an exact second-difference criterion.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -236,6 +237,11 @@ def build_gamma_member(inst: Instance, delta: int) -> tuple[Fraction, ...]:
 def enumerate_gamma(inst: Instance, delta: int, cap: int = 20) -> list[tuple[Fraction, ...]]:
     """Every structured vector with widest gap delta, deduplicated and in
     lexicographic order.  Bounded by ``cap`` on n to keep the output small."""
+    return [_materialize(inst.n, placed) for placed in _gamma_placements(inst, delta, cap)]
+
+
+def _gamma_placements(inst: Instance, delta: int, cap: int) -> list[Placement]:
+    """The placements of the `enumerate_gamma` members, in its order."""
     n, m, x, r = inst.n, inst.m, inst.x, inst.r
     if n > cap:
         raise SizeCapError(f"n = {n} exceeds the enumeration cap {cap}")
@@ -270,7 +276,7 @@ def enumerate_gamma(inst: Instance, delta: int, cap: int = 20) -> list[tuple[Fra
         [(pos - 1, x) for pos in positions] + ([(j - 1, r)] if j else [])
         for positions, j in seen
     )
-    return sorted(_materialize(n, placed) for placed in placements)
+    return sorted(placements, key=functools.partial(_materialize, n))
 
 
 def solve_combinatorial(inst: Instance):
@@ -278,16 +284,16 @@ def solve_combinatorial(inst: Instance):
     from .report import PROVEN, SolveReport
 
     if inst.m == 0:
-        placed = _gamma_placed(inst, inst.n + 1)
+        placed = tuple(_gamma_placed(inst, inst.n + 1))
         return SolveReport(
             instance=inst,
-            vector=_materialize(inst.n, placed),
+            placed=placed,
             objective=_eval_placed(inst.n, placed, inst.x),
             status=PROVEN,
             method="combinatorial/middle-point",
         )
     cert = delta_search(inst)
-    placed = _gamma_placed(inst, cert.delta_star)
+    placed = tuple(_gamma_placed(inst, cert.delta_star))
     objective = _eval_placed(inst.n, placed, inst.x)
     expected = a_value(inst, cert.delta_star)
     if objective != expected:
@@ -296,7 +302,7 @@ def solve_combinatorial(inst: Instance):
         )
     return SolveReport(
         instance=inst,
-        vector=_materialize(inst.n, placed),
+        placed=placed,
         objective=objective,
         status=PROVEN,
         method="combinatorial/gap-profile",

@@ -10,6 +10,7 @@ PROVEN/CONJECTURED status so the two cases are never conflated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 from .combinatorial import _gamma_placed, near_equidistant_parts
 from .combinatorial import build_gamma_member  # noqa: F401  wrapped here by perfbench/tracing.py
 from .errors import ConstructionError, ValidationError
-from .model import Instance, Placement, _eval_placed, _materialize
+from .model import Instance, _eval_placed, _materialize
 from .model import eval_f  # noqa: F401  wrapped here by perfbench/tracing.py
 from .report import CONJECTURED, PROVEN, SolveReport
 
@@ -35,17 +36,25 @@ class TauPair:
 class DuoSolution:
     """Two-layer construction: m masses of y on gap profile ``gap_y`` (the
     smallest strictly interleaving one, else the canonical one) plus m+1
-    masses of r on the canonical gap profile ``gap_r``; ``combined`` is
-    their sum and ``placed`` its nonzero entries as ascending (index, value)
-    pairs.  The layers as n-vectors, ``v_y`` and ``v_r``, are built from the
-    gap profiles on each access."""
+    masses of r on the canonical gap profile ``gap_r``.  ``placed`` holds
+    the nonzero entries of their sum as ascending (index, value) pairs; the
+    sum as an n-vector, ``combined``, is built from it on first access, and
+    the layers as n-vectors, ``v_y`` and ``v_r``, from the gap profiles on
+    each access."""
 
     y: Fraction
     r: Fraction
-    combined: tuple[Fraction, ...]
     gap_y: tuple[int, ...]
     gap_r: tuple[int, ...]
-    placed: Placement
+    placed: tuple[tuple[int, Fraction], ...]
+
+    @property
+    def n(self) -> int:
+        return sum(self.gap_r) - 1
+
+    @functools.cached_property
+    def combined(self) -> tuple[Fraction, ...]:
+        return _materialize(self.n, self.placed)
 
     @property
     def v_y(self) -> tuple[Fraction, ...]:
@@ -58,7 +67,7 @@ class DuoSolution:
     def _layer(self, gaps: tuple[int, ...], value: Fraction) -> tuple[Fraction, ...]:
         # a mass ends every gap but the last, at 1-based slot positions
         positions = itertools.accumulate(gaps[:-1])
-        return _materialize(len(self.combined), [(pos - 1, value) for pos in positions])
+        return _materialize(self.n, [(pos - 1, value) for pos in positions])
 
 
 def tau(n: int, m: int) -> TauPair:
@@ -83,7 +92,7 @@ def solve_continuous_integer(inst: Instance) -> SolveReport:
             "w is not an exact multiple of x; use solve_continuous for the general case"
         )
     pair = tau(inst.n, inst.m)
-    placed = _gamma_placed(inst, pair.tau_u)
+    placed = tuple(_gamma_placed(inst, pair.tau_u))
     objective = _eval_placed(inst.n, placed, inst.x)
     expected = closed_form_objective(inst, pair.tau_u)
     if objective != expected:
@@ -92,7 +101,7 @@ def solve_continuous_integer(inst: Instance) -> SolveReport:
         )
     return SolveReport(
         instance=inst,
-        vector=_materialize(inst.n, placed),
+        placed=placed,
         objective=objective,
         status=PROVEN,
         method="continuous/equidistant",
@@ -196,7 +205,6 @@ def build_duo(inst: Instance) -> DuoSolution:
     return DuoSolution(
         y=y,
         r=r,
-        combined=_materialize(n, placed),
         gap_y=tuple(b - a for a, b in itertools.pairwise([0, *y_at, n + 1])),
         gap_r=tuple(gaps_r),
         placed=placed,
@@ -225,7 +233,7 @@ def solve_continuous(inst: Instance) -> SolveReport:
             )
     return SolveReport(
         instance=inst,
-        vector=duo.combined,
+        placed=duo.placed,
         objective=objective,
         status=PROVEN if proven else CONJECTURED,
         method="continuous/duo-equidistant",

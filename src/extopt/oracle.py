@@ -17,6 +17,7 @@ imports on first use, so the exact paths never load it.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .certificate import DualCertificate, check_certificate, dual_certificate
 from .combinatorial import _scale
 from .continuous import solve_continuous
 from .errors import ConstructionError, SizeCapError, ValidationError
-from .model import Instance, _runs, _scaled, _shortfall, eval_f
+from .model import Instance, _materialize, _placement, _runs, _scaled, _shortfall, eval_f
 from .report import CONFIRMED, VIOLATED, SolveReport
 
 if TYPE_CHECKING:
@@ -67,16 +68,22 @@ class VerifyReport:
     ``oracle_value`` equals the construction's objective, so the duo vector
     ``oracle_point`` is optimal.  VIOLATED: ``oracle_point`` is a rational
     point summing to w whose exact objective ``oracle_value`` is below the
-    construction's.  ``construction`` is the solve of the duo vector that
-    was checked.  The float views serve the JSON report.
+    construction's.  ``oracle_placed`` holds the point's nonzero entries as
+    ascending (index, value) pairs, and ``oracle_point`` is built from it on
+    first access.  ``construction`` is the solve of the duo vector that was
+    checked.
     """
 
     instance: Instance
     construction: SolveReport
     status: str
-    oracle_point: tuple[Fraction, ...]
+    oracle_placed: tuple[tuple[int, Fraction], ...]
     oracle_value: Fraction
     certificate: DualCertificate | None
+
+    @functools.cached_property
+    def oracle_point(self) -> tuple[Fraction, ...]:
+        return _materialize(self.instance.n, self.oracle_placed)
 
     @property
     def constructed_objective(self) -> Fraction:
@@ -453,14 +460,15 @@ def verify_conjecture(inst: Instance) -> VerifyReport:
         bound = check_certificate(report.vector, inst, found)
         if bound is None:
             raise ConstructionError(f"the exact checker rejected the dual certificate of {inst}")
-        status, point, value, cert = CONFIRMED, report.vector, bound, found
+        status, placed, value, cert = CONFIRMED, report.placed, bound, found
     else:
-        status, point, value, cert = VIOLATED, found, eval_f(found, inst.x), None
+        status, value, cert = VIOLATED, eval_f(found, inst.x), None
+        placed = tuple(_placement(found))
     return VerifyReport(
         instance=inst,
         construction=report,
         status=status,
-        oracle_point=tuple(point),
+        oracle_placed=placed,
         oracle_value=value,
         certificate=cert,
     )

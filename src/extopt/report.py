@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
+
+from .model import _materialize
 
 if TYPE_CHECKING:  # pragma: no cover
     from .combinatorial import DeltaCertificate
@@ -20,21 +23,28 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass(frozen=True)
 class SolveReport:
-    """A solution vector with its exact objective and solver provenance.
+    """A solution with its exact objective and solver provenance.
 
-    ``status`` is PROVEN when a theorem certifies optimality and CONJECTURED
-    when only the general duo construction backs it.  Certificates of the
-    widest-gap search and the gap bounds ride along when available.
+    ``placed`` holds the solution's nonzero entries as ascending
+    (index, value) pairs; ``vector``, the length-n tuple, is built from it on
+    first access.  ``status`` is PROVEN when a theorem certifies optimality
+    and CONJECTURED when only the general duo construction backs it.
+    Certificates of the widest-gap search and the gap bounds ride along when
+    available.
     """
 
     instance: "Instance"
-    vector: tuple[Fraction, ...]
+    placed: tuple[tuple[int, Fraction], ...]
     objective: Fraction
     status: str
     method: str
     delta_cert: Optional["DeltaCertificate"] = None
     tau_main: Optional["TauPair"] = None
     tau_next: Optional["TauPair"] = None
+
+    @functools.cached_property
+    def vector(self) -> tuple[Fraction, ...]:
+        return _materialize(self.instance.n, self.placed)
 
     @property
     def delta_star(self) -> int | None:

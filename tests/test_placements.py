@@ -2,10 +2,15 @@
 
 from fractions import Fraction
 
+import contextlib
+import io
+import json
+
 from extopt import ConstructionError, Instance, eval_f, solve_combinatorial, solve_continuous
+from extopt.cli import main
 from extopt.combinatorial import _gamma_placed, build_gamma_member
 from extopt.continuous import build_duo
-from extopt.model import as_rational
+from extopt.model import _materialize, as_rational
 from helpers import naive_f, twelfths_grid
 
 F = Fraction
@@ -74,3 +79,30 @@ class TestLargePlacements:
             i = Instance(10000, F(1), w)
             for report in (solve_continuous(i), solve_combinatorial(i)):
                 assert eval_f(report.vector, i.x) == report.objective
+
+
+class TestLazyVector:
+    def test_reports_build_the_vector_once_on_access(self):
+        for n, x, w in twelfths_grid():
+            i = Instance(n, x, w)
+            for solve in (solve_continuous, solve_combinatorial):
+                report = solve(i)
+                assert report.vector == _materialize(n, report.placed)
+                assert report.vector is report.vector
+                # the built vector is no field: equality and hashing ignore it
+                assert hash(report) == hash(solve(i)) and report == solve(i)
+
+    def test_solve_writes_its_json_without_the_vector(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the n-vector was built")
+
+        for module in ("model", "report", "combinatorial", "continuous", "oracle"):
+            monkeypatch.setattr(f"extopt.{module}._materialize", forbidden)
+        for w in ("6667/2", "59993/12", "2500"):
+            for domain in ("continuous", "combinatorial"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["solve", "--domain", domain, "-n", "10000", "-x", "1", "-w", w])
+                assert code == 0
+                vector = json.loads(out.getvalue())["result"]["vector"]
+                assert len(vector) == 10000 and sum(map(F, vector)) == F(w)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from extopt import Instance, ValidationError, eval_f, solve_combinatorial, solve_continuous
 from extopt.certificate import DualCertificate, check_certificate, dual_certificate
-from extopt.cli import _dumps
+from extopt.cli import _dumps, _vec
 from extopt.model import (
     _eval_placed, _materialize, as_rational, service_vector, strict_pair_sum,
 )
@@ -204,3 +204,37 @@ payloads = st.recursive(
 @given(payload=st.one_of(payloads, st.dictionaries(texts, payloads, max_size=6)))
 def test_writer_matches_the_indented_encoder(payload):
     assert _dumps(payload) == json.dumps(payload, indent=2)
+
+
+@st.composite
+def written_placements(draw):
+    """(n, placed) whose masses are drawn by reference from a small pool, so
+    one object sits at several indices, as y + r = x does in a duo."""
+    n = draw(st.integers(1, 30))
+    x = draw(positive_rationals)
+    r = x / draw(st.integers(2, 9))
+    pool = [x, r, x - r, draw(masses)]
+    at = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    return n, [(i, pool[draw(st.integers(0, len(pool) - 1))]) for i in at]
+
+
+yr = F(2, 3) + F(1, 3)  # one object for every collided y + r slot
+
+
+@DERANDOMIZED
+@given(case=written_placements(), form=st.sampled_from([str, float]))
+@example(case=(1, [(0, F(5, 2))]), form=str)  # n = 1
+@example(case=(1, []), form=float)
+@example(case=(6, [(0, F(1, 3)), (5, F(2, 3))]), form=str)  # masses at 0 and n - 1
+@example(case=(3, [(0, yr), (1, F(1, 7)), (2, yr)]), form=str)  # no zeros
+@example(case=(7, [(1, yr), (3, F(1, 3)), (4, yr), (6, yr)]), form=float)
+def test_vector_writer_matches_the_indented_encoder(case, form):
+    # `_vec` writes the texts the encoder would write for the entries:
+    # "p/q" strings, or floats as `verify` writes its minimizer
+    n, placed = case
+    entries = [form(e) for e in _materialize(n, placed)]
+    written = {"result": {"vector": _vec(n, placed, form), "objective": "1/2"},
+               "members": [_vec(n, placed, form), [], _vec(n, placed, form)]}
+    plain = {"result": {"vector": entries, "objective": "1/2"},
+             "members": [entries, [], entries]}
+    assert _dumps(written) == json.dumps(plain, indent=2)
