@@ -1,11 +1,14 @@
 """Closed-form solvers for the continuous minimization over the simplex slab.
 
 When the budget is an exact multiple of x the optimum spreads the masses
-near-equidistantly.  Otherwise the budget splits into a y-layer (m masses of
-y = x - r) and an r-layer (m+1 masses of r) whose gap profiles interleave;
-the superposition is provably optimal when the two layers share a gap bound
-and conjecturally optimal in general.  Reports carry an explicit
-PROVEN/CONJECTURED status so the two cases are never conflated.
+near-equidistantly.  Otherwise the budget w = m*x + r is the two canonical
+near-equidistant layers added together: m masses of y = x - r and m+1
+masses of r.  With t = r/x this is (1 - t)*E_m + t*E_{m+1}, E_k the
+equidistant optimum at budget k*x, and it attains the chord between their
+values, which is the minimum (the theorem in README "Oracles").  Every
+solve checks its objective against that chord (``minimum``).  Reports carry
+the paper's PROVEN/CONJECTURED status: PROVEN where the two layers share a
+gap bound.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorial import _gamma_placed, near_equidistant_parts
+from .combinatorial import _gamma_placed, _twice_h, near_equidistant_parts
 from .combinatorial import build_gamma_member  # noqa: F401  wrapped here by perfbench/tracing.py
 from .errors import ConstructionError, ValidationError
 from .model import Instance, _eval_placed, _materialize
@@ -34,13 +37,12 @@ class TauPair:
 
 @dataclass(frozen=True)
 class DuoSolution:
-    """Two-layer construction: m masses of y on gap profile ``gap_y`` (the
-    smallest strictly interleaving one, else the canonical one) plus m+1
-    masses of r on the canonical gap profile ``gap_r``.  ``placed`` holds
-    the nonzero entries of their sum as ascending (index, value) pairs; the
-    sum as an n-vector, ``combined``, is built from it on first access, and
-    the layers as n-vectors, ``v_y`` and ``v_r``, from the gap profiles on
-    each access."""
+    """The two canonical layers added together: m masses of y on gap profile
+    ``gap_y`` and m+1 masses of r on ``gap_r`` (``canonical_gap_profiles``),
+    a slot in both holding y + r = x.  ``placed`` holds the nonzero entries
+    of their sum as ascending (index, value) pairs; the sum as an n-vector,
+    ``combined``, is built from it on first access, and the layers as
+    n-vectors, ``v_y`` and ``v_r``, from the gap profiles on each access."""
 
     y: Fraction
     r: Fraction
@@ -85,6 +87,14 @@ def closed_form_objective(inst: Instance, tau_u: int) -> Fraction:
     return (tau_u - 1) * (inst.x * (inst.n + 1) - Fraction(inst.w + inst.x, 2) * tau_u)
 
 
+def minimum(inst: Instance) -> Fraction:
+    """The continuous minimum (1 - t)*C_m + t*C_{m+1}, t = r/x, where
+    C_k = x*h(k+1, n+1) is the value of k equidistant masses of x."""
+    a = _twice_h(inst.m + 1, inst.n + 1)
+    b = _twice_h(inst.m + 2, inst.n + 1)
+    return (inst.x * a + inst.r * (b - a)) / 2
+
+
 def solve_continuous_integer(inst: Instance) -> SolveReport:
     """Continuous optimum when w = m*x exactly: a near-equidistant placement."""
     if inst.r != 0:
@@ -94,10 +104,10 @@ def solve_continuous_integer(inst: Instance) -> SolveReport:
     pair = tau(inst.n, inst.m)
     placed = tuple(_gamma_placed(inst, pair.tau_u))
     objective = _eval_placed(inst.n, placed, inst.x)
-    expected = closed_form_objective(inst, pair.tau_u)
+    expected = minimum(inst)
     if objective != expected:
         raise ConstructionError(
-            f"equidistant vector scores {objective}, closed form says {expected}"
+            f"equidistant vector scores {objective}, the chord says {expected}"
         )
     return SolveReport(
         instance=inst,
@@ -137,62 +147,26 @@ def satisfies_interleaving(gaps_y: tuple[int, ...], gaps_r: tuple[int, ...]) -> 
     return True
 
 
-def _y_positions(n: int, dy: int, r_positions: tuple[int, ...]) -> list[int] | None:
-    """Smallest positions of the m = len(r_positions) - 1 y-layer masses such
-    that mass k lies strictly between r-layer masses k and k+1 and each gap
-    (from position 0, between masses, and to position n+1) is dy or dy+1.
-    Returns None when no placement fits.
-
-    The positions from which the rest of the layer still fits form an
-    integer interval per mass; a backward sweep tightens them, and a forward
-    sweep takes the smallest admissible position of each mass in turn, which
-    gives the lexicographically smallest gap sequence.
-    """
-    m = len(r_positions) - 1
-    lows = [0] * m
-    lo = hi = n + 1
-    for k in range(m - 1, -1, -1):
-        lo = max(lo - dy - 1, r_positions[k] + 1)
-        hi = min(hi - dy, r_positions[k + 1] - 1)
-        if lo > hi:
-            return None
-        lows[k] = lo
-    if not lo - dy - 1 <= 0 <= hi - dy:
-        return None
-    positions = []
-    pos = 0
-    for low in lows:
-        pos = max(pos + dy, low)
-        positions.append(pos)
-    return positions
-
-
 def build_duo(inst: Instance) -> DuoSolution:
-    """Superpose the y-layer and the r-layer on near-equidistant gaps.
-
-    The r-layer keeps the canonical short-gaps-first profile.  Each y-layer
-    mass takes the smallest position that keeps it strictly between its two
-    r-layer neighbours with every gap in {dy, dy+1} (``_y_positions``): the
-    lexicographically smallest strictly interleaving arrangement, with no
-    shared slots.  When none exists the y-layer takes the canonical profile,
-    which interleaves weakly: a collision stacks y + r = x on one slot,
-    still within bounds.  In the CONJECTURED regime the two canonical
-    profiles interleave strictly (checked for n < 700).
+    """The two canonical layers added together: m masses of y at the prefix
+    sums of the y-layer profile and m+1 masses of r at those of the r-layer
+    profile (``canonical_gap_profiles``).  A slot in both layers holds
+    y + r = x, still within bounds.  The sum is (1 - t)*E_m + t*E_{m+1} with
+    t = r/x, where E_k is the equidistant optimum at budget k*x, so it lies
+    on the chord ``minimum`` whether or not the layers interleave.
     """
     n, m, x = inst.n, inst.m, inst.x
     r, y = inst.r, inst.y
     if r == 0:
         raise ValidationError("no leftover mass; use solve_continuous_integer")
-    gaps_y_canon, gaps_r = canonical_gap_profiles(n, m)
-    r_positions = tuple(itertools.accumulate(gaps_r[: m + 1]))
-    y_at = _y_positions(n, gaps_y_canon[0], r_positions)
-    if y_at is None:
-        y_at = list(itertools.accumulate(gaps_y_canon[:m]))
-    both = set(y_at).intersection(r_positions)
+    gaps_y, gaps_r = canonical_gap_profiles(n, m)
+    y_at = tuple(itertools.accumulate(gaps_y[:m]))
+    r_at = tuple(itertools.accumulate(gaps_r[: m + 1]))
+    both = set(y_at).intersection(r_at)
     yr = y + r
     placed = tuple(sorted(
         [(pos - 1, y) for pos in y_at if pos not in both]
-        + [(pos - 1, yr if pos in both else r) for pos in r_positions]
+        + [(pos - 1, yr if pos in both else r) for pos in r_at]
     ))
     # the checks need only the three slot values and how many slots hold
     # each, counted by position: y == r when r = x/2
@@ -202,21 +176,16 @@ def build_duo(inst: Instance) -> DuoSolution:
         raise ConstructionError(f"layer overlap pushed an entry above x in {combined}")
     if sum(value * count for value, count in slots) != inst.w:
         raise ConstructionError("combined layers do not use the whole budget")
-    return DuoSolution(
-        y=y,
-        r=r,
-        gap_y=tuple(b - a for a, b in itertools.pairwise([0, *y_at, n + 1])),
-        gap_r=tuple(gaps_r),
-        placed=placed,
-    )
+    return DuoSolution(y=y, r=r, gap_y=gaps_y, gap_r=gaps_r, placed=placed)
 
 
 def solve_continuous(inst: Instance) -> SolveReport:
     """Continuous minimizer with an explicit optimality status.
 
-    r = 0 dispatches to the equidistant construction (proven).  Otherwise the
-    duo construction is returned: proven optimal when the two layers share a
-    gap bound (equal tau_u or equal tau_l), conjectured optimal otherwise.
+    r = 0 dispatches to the equidistant construction.  Otherwise the duo
+    construction is returned, checked against the chord: PROVEN when the two
+    layers share a gap bound (equal tau_u or equal tau_l), CONJECTURED
+    otherwise.
     """
     if inst.r == 0:
         return solve_continuous_integer(inst)
@@ -224,18 +193,14 @@ def solve_continuous(inst: Instance) -> SolveReport:
     t2 = tau(inst.n, inst.m + 1)
     duo = build_duo(inst)
     objective = _eval_placed(inst.n, duo.placed, inst.x)
-    proven = t1.tau_u == t2.tau_u or t1.tau_l == t2.tau_l
-    if proven:
-        expected = closed_form_objective(inst, t1.tau_u)
-        if objective != expected:
-            raise ConstructionError(
-                f"duo vector scores {objective}, closed form says {expected}"
-            )
+    expected = minimum(inst)
+    if objective != expected:
+        raise ConstructionError(f"duo vector scores {objective}, the chord says {expected}")
     return SolveReport(
         instance=inst,
         placed=duo.placed,
         objective=objective,
-        status=PROVEN if proven else CONJECTURED,
+        status=PROVEN if t1.tau_u == t2.tau_u or t1.tau_l == t2.tau_l else CONJECTURED,
         method="continuous/duo-equidistant",
         tau_main=t1,
         tau_next=t2,

@@ -295,15 +295,6 @@ def supremum_vector(inst: Instance) -> tuple[Fraction, ...]:
     return (inst.w,) + (Fraction(0),) * (inst.n - 1)
 
 
-def is_in_lambda(v: Iterable[RationalLike], w: RationalLike) -> bool:
-    """Membership in the continuous feasible set: nonnegative, sum <= w."""
-    try:
-        vec = service_vector(v)
-    except ValidationError:
-        return False
-    return sum(vec, Fraction(0)) <= as_rational(w)
-
-
 def is_in_upsilon(v: Iterable[RationalLike], inst: Instance) -> bool:
     """Membership in the combinatorial feasible set of the instance.
 

@@ -234,6 +234,12 @@ def random_coprime_vector(
     return tuple(out)
 
 
+def in_lambda(v, w) -> bool:
+    """Membership in the continuous feasible set: nonnegative, sum <= w."""
+    v = [Fraction(e) for e in v]
+    return all(e >= 0 for e in v) and sum(v, Fraction(0)) <= Fraction(w)
+
+
 def random_lambda_member(rng: random.Random, inst) -> tuple[Fraction, ...]:
     """Random vector with entries in [0, x] summing exactly to w."""
     n, x, w = inst.n, inst.x, inst.w
@@ -279,30 +285,3 @@ def twelfths_grid():
         for x in (Fraction(1), Fraction(3, 7), Fraction(11, 10)):
             for k in range(1, 12 * n):
                 yield n, x, x * k / 12
-
-
-def naive_y_gaps(n: int, m: int, limit: int | None = None) -> tuple[int, ...] | None:
-    """Lexicographically smallest y-layer gap profile (m+1 gaps, each
-    floor((n+1)/(m+1)) or one more, summing to n+1) whose first m prefix sums
-    lie strictly between consecutive prefix sums of the short-gaps-first
-    r-layer profile (m+2 gaps summing to n+1); None when none does.
-
-    Walks the slots of the short gaps in `itertools.combinations` order,
-    which is the lexicographic order of the gap tuples.  With `limit`, more
-    than `limit` arrangements raise ValueError instead of being walked.
-    """
-    dy, long_y = divmod(n + 1, m + 1)
-    dr, long_r = divmod(n + 1, m + 2)
-    gaps_r = [dr] * (m + 2 - long_r) + [dr + 1] * long_r
-    sums_r = list(itertools.accumulate(gaps_r))
-    short_y = m + 1 - long_y
-    if limit is not None and math.comb(m + 1, short_y) > limit:
-        raise ValueError(f"more than {limit} arrangements at n={n}, m={m}")
-    for shorts in itertools.combinations(range(m + 1), short_y):
-        gaps = [dy + 1] * (m + 1)
-        for k in shorts:
-            gaps[k] = dy
-        sums_y = list(itertools.accumulate(gaps))
-        if all(sums_r[k] < sums_y[k] < sums_r[k + 1] for k in range(m)):
-            return tuple(gaps)
-    return None

@@ -1,6 +1,5 @@
 """Equidistant and duo-equidistant continuous solvers."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -20,11 +19,12 @@ from extopt.continuous import (
     build_duo,
     canonical_gap_profiles,
     closed_form_objective,
+    minimum,
     satisfies_interleaving,
     tau,
 )
 from extopt.model import as_rational, eval_f_row
-from helpers import naive_y_gaps, random_lambda_member
+from helpers import bisect_f, random_lambda_member, twelfths_grid
 
 F = Fraction
 
@@ -145,9 +145,9 @@ class TestBuildDuo:
     def test_paper_vector(self):
         duo = build_duo(inst(7, 1, "2.2"))
         assert duo.combined == tuple(
-            as_rational(e) for e in ("0", "0.2", "0.8", "0.2", "0.8", "0.2", "0")
+            as_rational(e) for e in ("0", "1", "0", "0.2", "0.8", "0.2", "0")
         )
-        assert duo.gap_y == (3, 2, 3)
+        assert duo.gap_y == (2, 3, 3)
         assert duo.gap_r == (2, 2, 2, 2)
 
     def test_positions_n9(self):
@@ -185,51 +185,35 @@ class TestBuildDuo:
         positions = [k + 1 for k, e in enumerate(duo.v_y) if e > 0]
         assert len(positions) == i.m
 
-    def test_y_layer_is_strict_or_canonical(self):
-        # the y-layer either interleaves strictly with the r-layer or, when no
-        # arrangement does, is the canonical short-gaps-first profile
-        strict = fallback = conjectured = 0
+    def test_layers_are_the_canonical_profiles(self):
+        # both layers sit at the prefix sums of their canonical profiles,
+        # whether or not those interleave strictly
         for n in range(2, 121):
             for m in range(0, n):
                 duo = build_duo(inst(n, 1, m + F(1, 3)))
-                canonical = canonical_gap_profiles(n, m)[0]
-                assert sorted(duo.gap_y) == list(canonical)
-                sums_y = list(itertools.accumulate(duo.gap_y))
-                sums_r = list(itertools.accumulate(duo.gap_r))
-                is_strict = all(sums_r[k] < sums_y[k] < sums_r[k + 1] for k in range(m))
-                if is_strict:
-                    strict += 1
-                else:
-                    assert duo.gap_y == canonical
-                    fallback += 1
-                # open regime: the two canonical profiles, strictly interleaved
-                t1, t2 = tau(n, m), tau(n, m + 1)
-                if t1.tau_u != t2.tau_u and t1.tau_l != t2.tau_l:
-                    assert is_strict and duo.gap_y == canonical, (n, m)
-                    conjectured += 1
-        assert strict and fallback and conjectured
-
-    def test_y_layer_matches_naive_search(self):
-        # the y-layer is the lexicographically smallest strictly interleaving
-        # arrangement of the canonical gaps, else the canonical profile; the
-        # reference walks every arrangement, so pairs with too many are skipped
-        checked = non_canonical = 0
-        for n in range(1, 61):
-            for m in range(0, n):
-                try:
-                    expected = naive_y_gaps(n, m, limit=5000)
-                except ValueError:
-                    continue
-                canonical = canonical_gap_profiles(n, m)[0]
-                duo = build_duo(inst(n, 1, m + F(1, 3)))
-                assert duo.gap_y == (canonical if expected is None else expected), (n, m)
-                checked += 1
-                non_canonical += duo.gap_y != canonical
-        assert (checked, non_canonical) == (1063, 62)
+                assert (duo.gap_y, duo.gap_r) == canonical_gap_profiles(n, m), (n, m)
 
     def test_wrong_branch(self):
         with pytest.raises(ValidationError):
             build_duo(inst(9, 1, 2))
+
+
+class TestMinimum:
+    def test_chord_is_the_objective_on_the_grid(self):
+        # the objective is scored again by an independent O(n log n) sum
+        for n, x, w in twelfths_grid():
+            i = inst(n, x, w)
+            rep = solve_continuous(i)
+            assert minimum(i) == rep.objective == bisect_f(rep.vector, x), (n, x, w)
+
+    def test_chord_is_the_objective_up_to_n_100000(self):
+        rng = random.Random(18)
+        for n in (10**3, 10**4, 10**5):
+            for _ in range(3):
+                w = F(rng.randrange(1, 12 * n), 12)
+                i = inst(n, 1, w)
+                rep = solve_continuous(i)
+                assert minimum(i) == rep.objective == eval_f(rep.vector, 1), (n, w)
 
 
 class TestSolveContinuous:

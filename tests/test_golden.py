@@ -16,12 +16,13 @@ import pytest
 from extopt.cli import main
 from helpers import twelfths_grid
 
-# recorded from the solvers before their placement-based construction
-GOLDEN_SOLVE_SHA256 = "570361eada3c2e811d28932de9b54737c64399b59aa30600343abe0453b3e850"
+# recorded when the duo became the two canonical layers added together
+GOLDEN_SOLVE_SHA256 = "f81e133335bce755f2c30635bd3708b33541125bed357bf5ab581ecacc9ac91f"
 
-# recorded from the `json.dumps(indent=2)` writer, before the one-pass one
+# recorded from the `json.dumps(indent=2)` writer, before the one-pass one;
+# `verify` again with the canonical duo
 GOLDEN_COMMAND_SHA256 = {
-    "verify": "1089be92a341d7404bc0c58e5902bc83665fee7d449dc5b3768010f8f1a1f210",
+    "verify": "1613aa0d152e153d6bd3ac9a6b28f1db675db139bd6d91278d4d4b19f26ab755",
     "variance": "304124cd7d2c8d805411610ab4b5cf013cdadb27a8e49be80c440bc0b9802590",
     "enumerate": "9802aa9946986f1db54b3998ed55095921d216160171a36f0624f98a4c66d165",
     "sweep": "65894534212a2757e70eb53b860c905c5df4bf3850ab1e321d9810a62bf5dfd6",

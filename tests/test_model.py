@@ -18,12 +18,12 @@ from extopt import (
 from extopt.model import (
     as_rational,
     eval_f_row,
-    is_in_lambda,
     is_in_upsilon,
     strict_pair_sum,
     supremum_vector,
 )
 from helpers import (
+    in_lambda,
     naive_f,
     naive_row,
     naive_strict_pairs,
@@ -296,9 +296,9 @@ class TestSupremum:
 
 class TestMembership:
     def test_lambda_membership(self):
-        assert is_in_lambda(("1", "0.5"), 2)
-        assert not is_in_lambda(("1", "1.5"), 2)
-        assert not is_in_lambda(("-1", "0"), 2)
+        assert in_lambda(("1", "0.5"), 2)
+        assert not in_lambda(("1", "1.5"), 2)
+        assert not in_lambda(("-1", "0"), 2)
 
     def test_upsilon_membership(self):
         inst = Instance(7, 1, F("11/5"))
@@ -314,6 +314,6 @@ class TestMembership:
         inst = Instance(6, F("5/4"), F("7/2"))
         for _ in range(50):
             v = random_lambda_member(rng, inst)
-            assert is_in_lambda(v, inst.w)
+            assert in_lambda(v, inst.w)
             assert sum(v, F(0)) == inst.w
             assert all(e <= inst.x for e in v)
