@@ -12,7 +12,7 @@ exact LP dual certificate.
 __version__ = "0.1.0"
 
 from .combinatorial import DeltaCertificate, enumerate_gamma, solve_combinatorial
-from .continuous import DuoSolution, TauPair, solve_continuous, solve_continuous_integer
+from .continuous import TauPair, solve_continuous, solve_continuous_integer
 from .errors import (
     ConstructionError,
     ExtoptError,
@@ -46,7 +46,6 @@ __all__ = [
     "CONJECTURED",
     "ConstructionError",
     "DeltaCertificate",
-    "DuoSolution",
     "ExtoptError",
     "INCONCLUSIVE",
     "Instance",

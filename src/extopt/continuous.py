@@ -5,15 +5,15 @@ near-equidistantly.  Otherwise the budget w = m*x + r is the two canonical
 near-equidistant layers added together: m masses of y = x - r and m+1
 masses of r.  With t = r/x this is (1 - t)*E_m + t*E_{m+1}, E_k the
 equidistant optimum at budget k*x, and it attains the chord between their
-values, which is the minimum (the theorem in README "Oracles").  Every
-solve checks its objective against that chord (``minimum``).  Reports carry
+values, which is the minimum (the theorem in README "Oracles").  The duo
+is built as its placement, the nonzero entries alone, and every solve
+checks its objective against that chord (``minimum``).  Reports carry
 the paper's PROVEN/CONJECTURED status: PROVEN where the two layers share a
 gap bound.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +21,7 @@ from fractions import Fraction
 from .combinatorial import _gamma_placed, _twice_h, near_equidistant_parts
 from .combinatorial import build_gamma_member  # noqa: F401  wrapped here by perfbench/tracing.py
 from .errors import ConstructionError, ValidationError
-from .model import Instance, _eval_placed, _materialize
+from .model import Instance, _eval_placed
 from .model import eval_f  # noqa: F401  wrapped here by perfbench/tracing.py
 from .report import CONJECTURED, PROVEN, SolveReport
 
@@ -33,43 +33,6 @@ class TauPair:
 
     tau_u: int
     tau_l: int
-
-
-@dataclass(frozen=True)
-class DuoSolution:
-    """The two canonical layers added together: m masses of y on gap profile
-    ``gap_y`` and m+1 masses of r on ``gap_r`` (``canonical_gap_profiles``),
-    a slot in both holding y + r = x.  ``placed`` holds the nonzero entries
-    of their sum as ascending (index, value) pairs; the sum as an n-vector,
-    ``combined``, is built from it on first access, and the layers as
-    n-vectors, ``v_y`` and ``v_r``, from the gap profiles on each access."""
-
-    y: Fraction
-    r: Fraction
-    gap_y: tuple[int, ...]
-    gap_r: tuple[int, ...]
-    placed: tuple[tuple[int, Fraction], ...]
-
-    @property
-    def n(self) -> int:
-        return sum(self.gap_r) - 1
-
-    @functools.cached_property
-    def combined(self) -> tuple[Fraction, ...]:
-        return _materialize(self.n, self.placed)
-
-    @property
-    def v_y(self) -> tuple[Fraction, ...]:
-        return self._layer(self.gap_y, self.y)
-
-    @property
-    def v_r(self) -> tuple[Fraction, ...]:
-        return self._layer(self.gap_r, self.r)
-
-    def _layer(self, gaps: tuple[int, ...], value: Fraction) -> tuple[Fraction, ...]:
-        # a mass ends every gap but the last, at 1-based slot positions
-        positions = itertools.accumulate(gaps[:-1])
-        return _materialize(self.n, [(pos - 1, value) for pos in positions])
 
 
 def tau(n: int, m: int) -> TauPair:
@@ -147,13 +110,14 @@ def satisfies_interleaving(gaps_y: tuple[int, ...], gaps_r: tuple[int, ...]) -> 
     return True
 
 
-def build_duo(inst: Instance) -> DuoSolution:
-    """The two canonical layers added together: m masses of y at the prefix
-    sums of the y-layer profile and m+1 masses of r at those of the r-layer
-    profile (``canonical_gap_profiles``).  A slot in both layers holds
-    y + r = x, still within bounds.  The sum is (1 - t)*E_m + t*E_{m+1} with
-    t = r/x, where E_k is the equidistant optimum at budget k*x, so it lies
-    on the chord ``minimum`` whether or not the layers interleave.
+def build_duo(inst: Instance) -> tuple[tuple[int, Fraction], ...]:
+    """The two canonical layers added together, as ascending (index, value)
+    pairs: m masses of y at the prefix sums of the y-layer profile and m+1
+    masses of r at those of the r-layer profile (``canonical_gap_profiles``).
+    A slot in both layers holds y + r = x, still within bounds.  The sum is
+    (1 - t)*E_m + t*E_{m+1} with t = r/x, where E_k is the equidistant
+    optimum at budget k*x, so it lies on the chord ``minimum`` whether or
+    not the layers interleave.
     """
     n, m, x = inst.n, inst.m, inst.x
     r, y = inst.r, inst.y
@@ -172,11 +136,11 @@ def build_duo(inst: Instance) -> DuoSolution:
     # each, counted by position: y == r when r = x/2
     slots = ((y, m - len(both)), (r, m + 1 - len(both)), (yr, len(both)))
     if any(value > x for value, count in slots if count):
-        combined = list(_materialize(n, placed))
-        raise ConstructionError(f"layer overlap pushed an entry above x in {combined}")
+        above = [idx for idx, value in placed if value > x]
+        raise ConstructionError(f"layer overlap pushed the entries at slots {above} above x")
     if sum(value * count for value, count in slots) != inst.w:
         raise ConstructionError("combined layers do not use the whole budget")
-    return DuoSolution(y=y, r=r, gap_y=gaps_y, gap_r=gaps_r, placed=placed)
+    return placed
 
 
 def solve_continuous(inst: Instance) -> SolveReport:
@@ -191,14 +155,14 @@ def solve_continuous(inst: Instance) -> SolveReport:
         return solve_continuous_integer(inst)
     t1 = tau(inst.n, inst.m)
     t2 = tau(inst.n, inst.m + 1)
-    duo = build_duo(inst)
-    objective = _eval_placed(inst.n, duo.placed, inst.x)
+    placed = build_duo(inst)
+    objective = _eval_placed(inst.n, placed, inst.x)
     expected = minimum(inst)
     if objective != expected:
         raise ConstructionError(f"duo vector scores {objective}, the chord says {expected}")
     return SolveReport(
         instance=inst,
-        placed=duo.placed,
+        placed=placed,
         objective=objective,
         status=PROVEN if t1.tau_u == t2.tau_u or t1.tau_l == t2.tau_l else CONJECTURED,
         method="continuous/duo-equidistant",

@@ -293,24 +293,3 @@ def externality_variance(
 def supremum_vector(inst: Instance) -> tuple[Fraction, ...]:
     """Variance-maximizing allocation: the whole budget on the first coordinate."""
     return (inst.w,) + (Fraction(0),) * (inst.n - 1)
-
-
-def is_in_upsilon(v: Iterable[RationalLike], inst: Instance) -> bool:
-    """Membership in the combinatorial feasible set of the instance.
-
-    m entries equal to x, one entry equal to r when r > 0, all others zero.
-    """
-    try:
-        vec = service_vector(v)
-    except ValidationError:
-        return False
-    if len(vec) != inst.n:
-        return False
-    m, r, x = inst.m, inst.r, inst.x
-    n_x = sum(1 for e in vec if e == x)
-    if r > 0:
-        n_r = sum(1 for e in vec if e == r)
-        n_zero = sum(1 for e in vec if e == 0)
-        return n_x == m and n_r == 1 and n_x + n_r + n_zero == len(vec)
-    n_zero = sum(1 for e in vec if e == 0)
-    return n_x == m and n_x + n_zero == len(vec)

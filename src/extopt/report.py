@@ -17,7 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover
 PROVEN = "PROVEN"
 CONJECTURED = "CONJECTURED"
 CONFIRMED = "CONFIRMED"
-VIOLATED = "VIOLATED"
+VIOLATED = "VIOLATED"  # reserved: verify no longer produces it
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
@@ -29,8 +29,8 @@ class SolveReport:
     (index, value) pairs; ``vector``, the length-n tuple, is built from it on
     first access.  ``status`` is PROVEN when a theorem certifies optimality
     and CONJECTURED when only the general duo construction backs it.
-    Certificates of the widest-gap search and the gap bounds ride along when
-    available.
+    The widest gap ``delta_star`` of a structured placement, the
+    certificate of its search and the gap bounds ride along when available.
     """
 
     instance: "Instance"
@@ -38,6 +38,7 @@ class SolveReport:
     objective: Fraction
     status: str
     method: str
+    delta_star: Optional[int] = None
     delta_cert: Optional["DeltaCertificate"] = None
     tau_main: Optional["TauPair"] = None
     tau_next: Optional["TauPair"] = None
@@ -45,11 +46,3 @@ class SolveReport:
     @functools.cached_property
     def vector(self) -> tuple[Fraction, ...]:
         return _materialize(self.instance.n, self.placed)
-
-    @property
-    def delta_star(self) -> int | None:
-        if self.delta_cert is not None:
-            return self.delta_cert.delta_star
-        if self.method == "combinatorial/middle-point":
-            return self.instance.n + 1
-        return None

@@ -8,6 +8,7 @@ too long for the triple loops, uses prefix sums but no loop of the package.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 import random
@@ -240,6 +241,15 @@ def in_lambda(v, w) -> bool:
     return all(e >= 0 for e in v) and sum(v, Fraction(0)) <= Fraction(w)
 
 
+def in_upsilon(v, inst) -> bool:
+    """Membership in the combinatorial feasible set: n entries, m of them
+    equal to x, one equal to r when r > 0, all others zero."""
+    v = [Fraction(e) for e in v]
+    m, r = divmod(inst.w, inst.x)
+    expected = collections.Counter({inst.x: m, r: 1} if r else {inst.x: m})
+    return len(v) == inst.n and collections.Counter(e for e in v if e) == expected
+
+
 def random_lambda_member(rng: random.Random, inst) -> tuple[Fraction, ...]:
     """Random vector with entries in [0, x] summing exactly to w."""
     n, x, w = inst.n, inst.x, inst.w
@@ -276,6 +286,23 @@ def shuffled_duo(rng: random.Random, inst) -> tuple[Fraction, ...]:
         for at in itertools.accumulate(gaps[:-1]):
             v[at - 1] += mass
     return tuple(v)
+
+
+def duo_layers(inst) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The duo's two layers as n-vectors: m masses of y = x − r, then m+1
+    masses of r.  k masses end the first k of the k+1 near-equal parts of
+    n+1, short parts first: with q, s = divmod(n+1, k+1) the last s parts
+    are q+1 long, so mass j ends at slot j·q + max(0, j − (k+1−s))."""
+    n, x = inst.n, inst.x
+    m, r = divmod(inst.w, x)
+    layers = []
+    for k, mass in ((m, x - r), (m + 1, r)):
+        q, s = divmod(n + 1, k + 1)
+        v = [Fraction(0)] * n
+        for j in range(1, k + 1):
+            v[j * q + max(0, j - (k + 1 - s)) - 1] = mass
+        layers.append(tuple(v))
+    return layers[0], layers[1]
 
 
 def twelfths_grid():

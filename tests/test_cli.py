@@ -111,15 +111,13 @@ class TestVerify:
         assert cert["alpha_one_intervals"] - cert["unsaturated_intervals"] <= cert["tight_intervals"]
         assert doc["result"]["converged"] is True
 
-    def test_violated_exit_5(self, capsys, monkeypatch):
-        # the structured optimum (33/5) in place of the duo vector (32/5)
+    def test_beaten_construction_exit_1(self, capsys, monkeypatch):
+        # the structured optimum (33/5) in place of the duo vector (32/5): no
+        # certificate exists, which verify reports as a failed self-check
         monkeypatch.setattr("extopt.oracle.solve_continuous", solve_combinatorial)
-        code, out, _ = run_cli(capsys, "verify", "-n", "7", "-x", "1", "-w", "2.2")
-        assert code == 5
-        doc = json.loads(out)
-        assert doc["status"] == "VIOLATED" and doc["result"]["certificate"] is None
-        assert doc["result"]["gap"] < 0
-        assert sum(doc["result"]["oracle_minimizer"]) == pytest.approx(2.2)
+        code, out, err = run_cli(capsys, "verify", "-n", "7", "-x", "1", "-w", "2.2")
+        assert code == 1 and out == ""
+        assert "ConstructionError" in err
 
     def test_failed_self_check_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr("extopt.oracle.check_certificate", lambda v, inst, cert: None)

@@ -25,8 +25,8 @@ from extopt.combinatorial import (
     near_equidistant_parts,
     phi,
 )
-from extopt.model import as_rational, is_in_upsilon
-from helpers import primes_between
+from extopt.model import as_rational
+from helpers import in_upsilon, primes_between
 
 F = Fraction
 
@@ -305,7 +305,7 @@ class TestBuildGammaMember:
             tau_u = math.ceil((i.n + 1) / (i.m + 1))
             for delta in range(tau_u, i.n + 2 - i.m):
                 member = build_gamma_member(i, delta)
-                assert is_in_upsilon(member, i)
+                assert in_upsilon(member, i)
                 assert eval_f(member, i.x) == a_value(i, delta)
 
     def test_m_zero_places_leftover_at_middle(self):
@@ -332,7 +332,7 @@ class TestEnumerateGamma:
         assert v1 in members
         values = {eval_f(m, i.x) for m in members}
         assert values == {F("33/5")}
-        assert all(is_in_upsilon(m, i) for m in members)
+        assert all(in_upsilon(m, i) for m in members)
 
     def test_m_zero_two_middles(self):
         i = inst(4, 1, "0.5")
@@ -481,4 +481,4 @@ class TestSolveCombinatorial:
                         report = solve_combinatorial(i)
                         _, best = brute_force_combinatorial(i)
                         assert report.objective == best
-                        assert is_in_upsilon(report.vector, i)
+                        assert in_upsilon(report.vector, i)

@@ -24,7 +24,7 @@ from extopt.continuous import (
     tau,
 )
 from extopt.model import as_rational, eval_f_row
-from helpers import bisect_f, random_lambda_member, twelfths_grid
+from helpers import bisect_f, duo_layers, random_lambda_member, twelfths_grid
 
 F = Fraction
 
@@ -141,22 +141,33 @@ class TestCanonicalGapProfiles:
         assert gaps_r == (2, 3)
 
 
+def added(i):
+    # the nonzero entries of the reference layers' sum, in ascending order
+    v_y, v_r = duo_layers(i)
+    return [(k, a + b) for k, (a, b) in enumerate(zip(v_y, v_r)) if a or b]
+
+
+def gaps(layer):
+    # the gap profile of a layer: distances between 1-based mass slots
+    ends = [0] + [k + 1 for k, e in enumerate(layer) if e] + [len(layer) + 1]
+    return tuple(b - a for a, b in zip(ends, ends[1:]))
+
+
 class TestBuildDuo:
     def test_paper_vector(self):
-        duo = build_duo(inst(7, 1, "2.2"))
-        assert duo.combined == tuple(
-            as_rational(e) for e in ("0", "1", "0", "0.2", "0.8", "0.2", "0")
-        )
-        assert duo.gap_y == (2, 3, 3)
-        assert duo.gap_r == (2, 2, 2, 2)
+        i = inst(7, 1, "2.2")
+        assert build_duo(i) == ((1, F(1)), (3, F(1, 5)), (4, F(4, 5)), (5, F(1, 5)))
+        assert list(build_duo(i)) == added(i)
+        v_y, v_r = duo_layers(i)
+        assert gaps(v_y) == (2, 3, 3)
+        assert gaps(v_r) == (2, 2, 2, 2)
 
     def test_positions_n9(self):
         i = inst(9, 1, "2.5")
-        duo = build_duo(i)
-        y_pos = [k + 1 for k, e in enumerate(duo.v_y) if e == i.y]
-        r_pos = [k + 1 for k, e in enumerate(duo.v_r) if e == i.r]
-        assert y_pos == [3, 6]
-        assert r_pos == [2, 4, 7]
+        v_y, v_r = duo_layers(i)
+        assert [k + 1 for k, e in enumerate(v_y) if e == i.y] == [3, 6]
+        assert [k + 1 for k, e in enumerate(v_r) if e == i.r] == [2, 4, 7]
+        assert list(build_duo(i)) == added(i)
 
     def test_feasibility_random_instances(self):
         rng = random.Random(53)
@@ -169,29 +180,33 @@ class TestBuildDuo:
             if not 0 < w < n * x:
                 continue
             i = inst(n, x, w)
-            duo = build_duo(i)
-            assert sum(duo.combined, F(0)) == i.w
-            assert all(0 <= e <= i.x for e in duo.combined)
-            assert sum(duo.v_y, F(0)) == i.m * i.y
-            assert sum(duo.v_r, F(0)) == (i.m + 1) * i.r
+            placed = build_duo(i)
+            assert list(placed) == added(i)
+            assert sum((e for _, e in placed), F(0)) == i.w
+            assert all(0 < e <= i.x for _, e in placed)
+            v_y, v_r = duo_layers(i)
+            assert sum(v_y, F(0)) == i.m * i.y
+            assert sum(v_r, F(0)) == (i.m + 1) * i.r
 
     def test_layer_gap_structure(self):
         # near-vanishing leftover: the y-layer keeps near-equidistant gaps with
         # the widest one bounded by the m-mass gap bound
         i = inst(11, 1, F(3) + F(1, 1000))
-        duo = build_duo(i)
+        assert list(build_duo(i)) == added(i)
+        v_y, _ = duo_layers(i)
         pair = tau(i.n, i.m)
-        assert sorted(set(duo.gap_y)) in ([pair.tau_l], [pair.tau_l, pair.tau_u], [pair.tau_u])
-        positions = [k + 1 for k, e in enumerate(duo.v_y) if e > 0]
-        assert len(positions) == i.m
+        assert sorted(set(gaps(v_y))) in ([pair.tau_l], [pair.tau_l, pair.tau_u], [pair.tau_u])
+        assert len(gaps(v_y)) == i.m + 1
 
     def test_layers_are_the_canonical_profiles(self):
         # both layers sit at the prefix sums of their canonical profiles,
         # whether or not those interleave strictly
         for n in range(2, 121):
             for m in range(0, n):
-                duo = build_duo(inst(n, 1, m + F(1, 3)))
-                assert (duo.gap_y, duo.gap_r) == canonical_gap_profiles(n, m), (n, m)
+                i = inst(n, 1, m + F(1, 3))
+                assert list(build_duo(i)) == added(i), (n, m)
+                v_y, v_r = duo_layers(i)
+                assert (gaps(v_y), gaps(v_r)) == canonical_gap_profiles(n, m), (n, m)
 
     def test_wrong_branch(self):
         with pytest.raises(ValidationError):

@@ -18,12 +18,12 @@ from extopt import (
 from extopt.model import (
     as_rational,
     eval_f_row,
-    is_in_upsilon,
     strict_pair_sum,
     supremum_vector,
 )
 from helpers import (
     in_lambda,
+    in_upsilon,
     naive_f,
     naive_row,
     naive_strict_pairs,
@@ -302,12 +302,12 @@ class TestMembership:
 
     def test_upsilon_membership(self):
         inst = Instance(7, 1, F("11/5"))
-        assert is_in_upsilon(V1, inst)
-        assert not is_in_upsilon(V2, inst)
-        assert not is_in_upsilon(("1", "1", "0.2", "0", "0", "0", "0.0001"), inst)
+        assert in_upsilon(V1, inst)
+        assert not in_upsilon(V2, inst)
+        assert not in_upsilon(("1", "1", "0.2", "0", "0", "0", "0.0001"), inst)
         integral = Instance(5, 1, 2)
-        assert is_in_upsilon(("1", "0", "1", "0", "0"), integral)
-        assert not is_in_upsilon(("1", "0", "0.5", "0.5", "0"), integral)
+        assert in_upsilon(("1", "0", "1", "0", "0"), integral)
+        assert not in_upsilon(("1", "0", "0.5", "0.5", "0"), integral)
 
     def test_random_lambda_members_are_members(self):
         rng = random.Random(5)

@@ -12,7 +12,6 @@ import pytest
 
 from extopt import (
     CONFIRMED,
-    VIOLATED,
     ConstructionError,
     Instance,
     SizeCapError,
@@ -514,15 +513,12 @@ class TestGreedyCertificate:
 
 
 class TestVerifyDecision:
-    def test_non_optimal_construction_is_violated(self, monkeypatch):
-        # stand the structured optimum (33/5) in for the duo vector (32/5)
+    def test_beaten_construction_fails_the_self_check(self, monkeypatch):
+        # stand the structured optimum (33/5) in for the duo vector (32/5):
+        # dual_certificate finds no certificate, only the better duo vector
         monkeypatch.setattr("extopt.oracle.solve_continuous", solve_combinatorial)
-        i = inst(7, 1, "2.2")
-        report = verify_conjecture(i)
-        assert report.status == VIOLATED and report.certificate is None
-        assert sum(report.oracle_point, F(0)) == i.w
-        assert report.oracle_value == naive_f(report.oracle_point, i.x) < F(33, 5)
-        assert report.gap < 0
+        with pytest.raises(ConstructionError):
+            verify_conjecture(inst(7, 1, "2.2"))
 
     def test_rejected_certificate_fails_the_self_check(self, monkeypatch):
         monkeypatch.setattr("extopt.oracle.check_certificate", lambda v, inst, cert: None)

@@ -11,7 +11,7 @@ from extopt.cli import main
 from extopt.combinatorial import _gamma_placed, build_gamma_member
 from extopt.continuous import build_duo
 from extopt.model import _materialize, as_rational
-from helpers import naive_f, twelfths_grid
+from helpers import duo_layers, naive_f, twelfths_grid
 
 F = Fraction
 
@@ -29,13 +29,13 @@ class TestDuoPlacement:
             i = Instance(n, x, w)
             if i.r == 0:
                 continue
-            duo = build_duo(i)
-            assert duo.combined == tuple(a + b for a, b in zip(duo.v_y, duo.v_r))
-            assert sum(duo.combined, F(0)) == i.w
-            assert list(duo.placed) == nonzero(duo.combined)
+            v_y, v_r = duo_layers(i)
+            combined = tuple(a + b for a, b in zip(v_y, v_r))
+            assert sum(combined, F(0)) == i.w
+            assert list(build_duo(i)) == nonzero(combined)
             report = solve_continuous(i)
             assert report.objective == naive_f(report.vector, i.x)
-            collided += any(a and b for a, b in zip(duo.v_y, duo.v_r))
+            collided += any(a and b for a, b in zip(v_y, v_r))
             halves += i.r == i.x / 2
         assert collided > 1000 and halves > 100
 
@@ -96,7 +96,7 @@ class TestLazyVector:
         def forbidden(*args):
             raise AssertionError("the n-vector was built")
 
-        for module in ("model", "report", "combinatorial", "continuous", "oracle"):
+        for module in ("model", "report", "combinatorial"):
             monkeypatch.setattr(f"extopt.{module}._materialize", forbidden)
         for w in ("6667/2", "59993/12", "2500"):
             for domain in ("continuous", "combinatorial"):
