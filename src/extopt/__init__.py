@@ -11,8 +11,8 @@ exact LP dual certificate.
 
 __version__ = "0.1.0"
 
-from .combinatorial import DeltaCertificate, enumerate_gamma, solve_combinatorial
-from .continuous import TauPair, solve_continuous, solve_continuous_integer
+from .combinatorial import DeltaCertificate, TauPair, enumerate_gamma, solve_combinatorial
+from .continuous import solve_continuous, solve_continuous_integer
 from .errors import (
     ConstructionError,
     ExtoptError,

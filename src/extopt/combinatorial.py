@@ -6,6 +6,11 @@ depends only on the gap multiset and on where the leftover sits inside the
 widest gap.  The optimal profile is near-equidistant except for one widest
 gap delta*, which is found by comparing the minimal odd and even candidates
 of an exact second-difference criterion.
+
+The gap bounds ``tau`` (a ``TauPair``) and the continuous chord ``minimum``
+live here too, so the structured and continuous solvers share them;
+`extopt.continuous` re-exports all three.  Every solve scores its placement
+and checks it against its closed form (``_scored``).
 """
 
 from __future__ import annotations
@@ -13,14 +18,13 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import ConstructionError, SizeCapError, ValidationError
-from .model import Instance, Placement, _eval_placed, _materialize
+from .model import Instance, Placement, _common, _eval_placed, _integer, _materialize
 from .model import eval_f  # noqa: F401  perfbench/tracing.py wraps it under this module
+from .report import PROVEN, SolveReport
 
 
 @dataclass(frozen=True)
@@ -47,10 +51,8 @@ class DeltaCertificate:
 def middle_points(a: int, b: int) -> tuple[int, ...]:
     """Middle point(s) of the integer range {a, ..., b}: one when a+b is even,
     two adjacent ones when a+b is odd."""
-    if isinstance(a, bool) or isinstance(b, bool) or not (isinstance(a, int) and isinstance(b, int)):
-        raise ValidationError(f"middle points need integers, got {a!r}, {b!r}")
-    if a <= 0 or a >= b:
-        raise ValidationError(f"need 0 < a < b, got a={a}, b={b}")
+    _integer("a", a, 1)
+    _integer("b", b, a + 1)
     return tuple(range((a + b) // 2, (a + b + 1) // 2 + 1))
 
 
@@ -63,8 +65,8 @@ def _stretch_middles(a: int, b: int) -> tuple[int, ...]:
 
 def near_equidistant_parts(a: int, b: int) -> tuple[int, ...]:
     """Partition b into a positive parts differing by at most one, ascending."""
-    if a <= 0 or b < a:
-        raise ValidationError(f"cannot split {b} into {a} positive near-equal parts")
+    _integer("a", a, 1)
+    _integer("b", b, a)
     q, s = divmod(b, a)
     return (q,) * (a - s) + (q + 1,) * s
 
@@ -75,10 +77,8 @@ def h(a: int, b: int) -> Fraction:
     This counts the index intervals that fit strictly inside the parts; the
     closed form below equals the direct sum for every valid split.
     """
-    if isinstance(a, bool) or isinstance(b, bool) or not (isinstance(a, int) and isinstance(b, int)):
-        raise ValidationError(f"h needs integers, got {a!r}, {b!r}")
-    if a <= 0 or b < a:
-        raise ValidationError(f"need 0 < a <= b, got a={a}, b={b}")
+    _integer("a", a, 1)
+    _integer("b", b, a)
     return Fraction(_twice_h(a, b), 2)
 
 
@@ -87,13 +87,29 @@ def _twice_h(a: int, b: int) -> int:
     return s * (q + 1) * q + (a - s) * q * (q - 1)
 
 
-def _scale(inst: Instance) -> tuple[int, int, int]:
-    """(D, X, R): x = X/D and r = R/D over D = lcm(den x, den r).  The gap
-    search works on these integers, where phi and a_value are integers
-    over 2D."""
-    x, r = inst.x, inst.r
-    d = math.lcm(x.denominator, r.denominator)
-    return d, x.numerator * (d // x.denominator), r.numerator * (d // r.denominator)
+@dataclass(frozen=True)
+class TauPair:
+    """Ceiling and floor of (n+1)/(m+1): the widest and narrowest gaps of a
+    near-equidistant placement of m masses."""
+
+    tau_u: int
+    tau_l: int
+
+
+def tau(n: int, m: int) -> TauPair:
+    """Gap bounds for m masses on n slots (m = 0 gives the full range n+1)."""
+    _integer("n", n, 1)
+    _integer("m", m, 0, n)
+    q, s = divmod(n + 1, m + 1)
+    return TauPair(tau_u=q + (1 if s else 0), tau_l=q)
+
+
+def minimum(inst: Instance) -> Fraction:
+    """The continuous minimum (1 - t)*C_m + t*C_{m+1}, t = r/x, where
+    C_k = x*h(k+1, n+1) is the value of k equidistant masses of x."""
+    a = _twice_h(inst.m + 1, inst.n + 1)
+    b = _twice_h(inst.m + 2, inst.n + 1)
+    return (inst.x * a + inst.r * (b - a)) / 2
 
 
 def _a_scaled(n: int, m: int, xs: int, rs: int, delta: int) -> int:
@@ -114,11 +130,8 @@ def a_value(inst: Instance, delta: int) -> Fraction:
     m = inst.m
     if m < 1:
         raise ValidationError("a_value needs m >= 1; the w < x case has no gap search")
-    if isinstance(delta, bool) or not isinstance(delta, int) or not 1 <= delta <= inst.n + 1 - m:
-        raise ValidationError(
-            f"delta must be an integer in [1, {inst.n + 1 - m}], got {delta!r}"
-        )
-    d, xs, rs = _scale(inst)
+    _integer("delta", delta, 1, inst.n + 1 - m)
+    d, (xs, rs) = _common(inst.x, inst.r)
     return Fraction(_a_scaled(inst.n, m, xs, rs, delta), 2 * d)
 
 
@@ -131,14 +144,9 @@ def phi(inst: Instance, delta: int) -> Fraction:
     n, m = inst.n, inst.m
     if m < 1:
         raise ValidationError("phi needs m >= 1")
-    if isinstance(delta, bool) or not isinstance(delta, int) or not 1 <= delta <= n - 1:
-        raise ValidationError(f"delta must be an integer in [1, {n - 1}], got {delta!r}")
-    d, xs, rs = _scale(inst)
+    _integer("delta", delta, 1, n - 1)
+    d, (xs, rs) = _common(inst.x, inst.r)
     return Fraction(_phi_scaled(n, m, xs, rs, delta), 2 * d)
-
-
-def _tau_upper(n: int, m: int) -> int:
-    return -((n + 1) // -(m + 1))
 
 
 def _class_candidate(n: int, m: int, xs: int, rs: int, parity: int) -> int:
@@ -161,18 +169,19 @@ def delta_search(inst: Instance) -> DeltaCertificate:
     delta* is the candidate with the smaller objective (the even one on
     ties).  When r = 0 the objective's first difference is already monotone
     and delta* is ceil((n+1)/(m+1)).  Signs and comparisons are decided on
-    the integers 2D * phi and 2D * a_value of `_scale`.
+    the integers 2D * phi and 2D * a_value over D, the common denominator
+    of x and r.
     """
     n, m = inst.n, inst.m
     if m < 1:
         raise ValidationError("delta_search needs m >= 1; place r at a middle point instead")
-    d, xs, rs = _scale(inst)
+    d, (xs, rs) = _common(inst.x, inst.r)
     delta1 = _class_candidate(n, m, xs, rs, 1)
     delta2 = _class_candidate(n, m, xs, rs, 2)
     a1 = _a_scaled(n, m, xs, rs, delta1)
     a2 = _a_scaled(n, m, xs, rs, delta2)
     if rs == 0:
-        delta_star = _tau_upper(n, m)
+        delta_star = tau(n, m).tau_u
     else:
         delta_star = delta1 if a1 < a2 else delta2
 
@@ -198,20 +207,15 @@ def delta_search(inst: Instance) -> DeltaCertificate:
     )
 
 
-def _positions_from_gaps(gaps: Sequence[int], count: int) -> tuple[int, ...]:
-    return tuple(itertools.accumulate(gaps[:count]))
-
-
 def _gamma_placed(inst: Instance, delta: int) -> Placement:
     """The placement (ascending nonzero entries) of `build_gamma_member`."""
     n, m, x, r = inst.n, inst.m, inst.x, inst.r
-    if isinstance(delta, bool) or not isinstance(delta, int):
-        raise ValidationError(f"delta must be an integer, got {delta!r}")
+    _integer("delta", delta, 1)
     if m == 0:
         if delta != n + 1:
             raise ConstructionError(f"with w < x the only valid widest gap is {n + 1}")
-        return [(_stretch_middles(1, n)[0] - 1, r)]
-    if not 1 <= delta <= n + 1 - m:
+        return [((n - 1) // 2, r)]  # the smallest middle point of the n slots
+    if delta > n + 1 - m:
         raise ConstructionError(f"delta = {delta} leaves no room for {m} masses on {n} slots")
     rest = near_equidistant_parts(m, n + 1 - delta)
     if rest[-1] > delta:
@@ -220,8 +224,9 @@ def _gamma_placed(inst: Instance, delta: int) -> Placement:
         )
     if r > 0 and delta < 2:
         raise ConstructionError("the widest stretch has no slot for the leftover mass")
-    # the leftover sits inside the leading widest stretch, before every x
-    placed = [(_stretch_middles(1, delta - 1)[0] - 1, r)] if r > 0 else []
+    # the leftover sits at the smallest middle point of the leading widest
+    # stretch, slots 1..delta-1, before every x
+    placed = [((delta - 2) // 2, r)] if r > 0 else []
     # the x-masses end the first m gaps: 0-based, at delta - 1 plus rest's partial sums
     placed.extend(zip(itertools.accumulate(rest[:m - 1], initial=delta - 1), itertools.repeat(x)))
     return placed
@@ -245,8 +250,7 @@ def _gamma_placements(inst: Instance, delta: int, cap: int) -> list[Placement]:
     n, m, x, r = inst.n, inst.m, inst.x, inst.r
     if n > cap:
         raise SizeCapError(f"n = {n} exceeds the enumeration cap {cap}")
-    if isinstance(delta, bool) or not isinstance(delta, int) or delta < 1 or delta > n + 1:
-        raise ValidationError(f"delta must be an integer in [1, {n + 1}], got {delta!r}")
+    _integer("delta", delta, 1, n + 1)
     rest = n + 1 - delta  # the width of the m gaps besides the widest
     if rest < m or (rest and not m):
         return []
@@ -264,7 +268,7 @@ def _gamma_placements(inst: Instance, delta: int, cap: int) -> list[Placement]:
             for i in longs:
                 gaps[i] = q + 1
             gaps[t] = delta
-            positions = _positions_from_gaps(gaps, m)
+            positions = tuple(itertools.accumulate(gaps[:m]))
             boundaries = (0,) + positions + (n + 1,)
             if r > 0:
                 lo, hi = boundaries[t] + 1, boundaries[t + 1] - 1
@@ -279,34 +283,38 @@ def _gamma_placements(inst: Instance, delta: int, cap: int) -> list[Placement]:
     return sorted(placements, key=functools.partial(_materialize, n))
 
 
-def solve_combinatorial(inst: Instance):
-    """Exact minimizer over the structured placements, with its certificate."""
-    from .report import PROVEN, SolveReport
-
-    if inst.m == 0:
-        placed = tuple(_gamma_placed(inst, inst.n + 1))
-        return SolveReport(
-            instance=inst,
-            placed=placed,
-            objective=_eval_placed(inst.n, placed, inst.x),
-            status=PROVEN,
-            method="combinatorial/middle-point",
-            delta_star=inst.n + 1,
-        )
-    cert = delta_search(inst)
-    placed = tuple(_gamma_placed(inst, cert.delta_star))
+def _scored(inst: Instance, placed: Placement, expected: Fraction) -> Fraction:
+    """The objective of ``placed``, checked against its closed form ``expected``."""
     objective = _eval_placed(inst.n, placed, inst.x)
-    expected = a_value(inst, cert.delta_star)
     if objective != expected:
         raise ConstructionError(
-            f"built vector scores {objective}, widest-gap formula says {expected}"
+            f"built placement scores {objective}, the closed form says {expected}"
         )
+    return objective
+
+
+def solve_combinatorial(inst: Instance) -> SolveReport:
+    """Exact minimizer over the structured placements, with its certificate.
+
+    With m = 0 the leftover sits at the middle of the n slots: the intervals
+    that hold it fall short by x - r and all others by x.
+    """
+    n = inst.n
+    if inst.m == 0:
+        cert, delta_star = None, n + 1
+        half = (n + 1) // 2
+        expected = inst.x * n * (n + 1) / 2 - inst.r * half * (n + 1 - half)
+    else:
+        cert = delta_search(inst)
+        delta_star = cert.delta_star
+        expected = a_value(inst, delta_star)
+    placed = tuple(_gamma_placed(inst, delta_star))
     return SolveReport(
         instance=inst,
         placed=placed,
-        objective=objective,
+        objective=_scored(inst, placed, expected),
         status=PROVEN,
-        method="combinatorial/gap-profile",
-        delta_star=cert.delta_star,
+        method="combinatorial/middle-point" if cert is None else "combinatorial/gap-profile",
+        delta_star=delta_star,
         delta_cert=cert,
     )

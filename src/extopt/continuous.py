@@ -8,54 +8,30 @@ equidistant optimum at budget k*x, and it attains the chord between their
 values, which is the minimum (the theorem in README "Oracles").  The duo
 is built as its placement, the nonzero entries alone, and every solve
 checks its objective against that chord (``minimum``).  Reports carry
-the paper's PROVEN/CONJECTURED status: PROVEN where the two layers share a
-gap bound.
+the paper's PROVEN/CONJECTURED status: PROVEN when r = 0 or where the two
+layers share a gap bound.
+
+``tau``, ``TauPair`` and ``minimum`` are defined in `extopt.combinatorial`
+and re-exported here.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorial import _gamma_placed, _twice_h, near_equidistant_parts
+from .combinatorial import _gamma_placed, _scored, minimum, near_equidistant_parts, tau
+from .combinatorial import TauPair  # noqa: F401  re-exported as extopt.continuous.TauPair
 from .combinatorial import build_gamma_member  # noqa: F401  wrapped here by perfbench/tracing.py
 from .errors import ConstructionError, ValidationError
-from .model import Instance, _eval_placed
+from .model import Instance, _integer
 from .model import eval_f  # noqa: F401  wrapped here by perfbench/tracing.py
 from .report import CONJECTURED, PROVEN, SolveReport
-
-
-@dataclass(frozen=True)
-class TauPair:
-    """Ceiling and floor of (n+1)/(m+1): the widest and narrowest gaps of a
-    near-equidistant placement of m masses."""
-
-    tau_u: int
-    tau_l: int
-
-
-def tau(n: int, m: int) -> TauPair:
-    """Gap bounds for m masses on n slots (m = 0 gives the full range n+1)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    if isinstance(m, bool) or not isinstance(m, int) or not 0 <= m <= n:
-        raise ValidationError(f"m must be an integer in [0, {n}], got {m!r}")
-    q, s = divmod(n + 1, m + 1)
-    return TauPair(tau_u=q + (1 if s else 0), tau_l=q)
 
 
 def closed_form_objective(inst: Instance, tau_u: int) -> Fraction:
     """Optimal value (tau_u - 1) * (x*(n+1) - (w+x)*tau_u/2) of the proven cases."""
     return (tau_u - 1) * (inst.x * (inst.n + 1) - Fraction(inst.w + inst.x, 2) * tau_u)
-
-
-def minimum(inst: Instance) -> Fraction:
-    """The continuous minimum (1 - t)*C_m + t*C_{m+1}, t = r/x, where
-    C_k = x*h(k+1, n+1) is the value of k equidistant masses of x."""
-    a = _twice_h(inst.m + 1, inst.n + 1)
-    b = _twice_h(inst.m + 2, inst.n + 1)
-    return (inst.x * a + inst.r * (b - a)) / 2
 
 
 def solve_continuous_integer(inst: Instance) -> SolveReport:
@@ -64,23 +40,7 @@ def solve_continuous_integer(inst: Instance) -> SolveReport:
         raise ValidationError(
             "w is not an exact multiple of x; use solve_continuous for the general case"
         )
-    pair = tau(inst.n, inst.m)
-    placed = tuple(_gamma_placed(inst, pair.tau_u))
-    objective = _eval_placed(inst.n, placed, inst.x)
-    expected = minimum(inst)
-    if objective != expected:
-        raise ConstructionError(
-            f"equidistant vector scores {objective}, the chord says {expected}"
-        )
-    return SolveReport(
-        instance=inst,
-        placed=placed,
-        objective=objective,
-        status=PROVEN,
-        method="continuous/equidistant",
-        tau_main=pair,
-        tau_next=tau(inst.n, inst.m + 1),
-    )
+    return solve_continuous(inst)
 
 
 def canonical_gap_profiles(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -91,10 +51,8 @@ def canonical_gap_profiles(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, 
     sums interleave: every y-layer prefix sum lies between consecutive
     r-layer prefix sums.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    if isinstance(m, bool) or not isinstance(m, int) or not 0 <= m < n:
-        raise ValidationError(f"m must be an integer in [0, {n - 1}], got {m!r}")
+    _integer("n", n, 1)
+    _integer("m", m, 0, n - 1)
     return near_equidistant_parts(m + 1, n + 1), near_equidistant_parts(m + 2, n + 1)
 
 
@@ -146,26 +104,21 @@ def build_duo(inst: Instance) -> tuple[tuple[int, Fraction], ...]:
 def solve_continuous(inst: Instance) -> SolveReport:
     """Continuous minimizer with an explicit optimality status.
 
-    r = 0 dispatches to the equidistant construction.  Otherwise the duo
-    construction is returned, checked against the chord: PROVEN when the two
-    layers share a gap bound (equal tau_u or equal tau_l), CONJECTURED
-    otherwise.
+    r = 0 gives the equidistant placement, PROVEN.  Otherwise the duo
+    construction is returned: PROVEN when the two layers share a gap bound
+    (equal tau_u or equal tau_l), CONJECTURED otherwise.  Either is checked
+    against the chord ``minimum``.
     """
-    if inst.r == 0:
-        return solve_continuous_integer(inst)
     t1 = tau(inst.n, inst.m)
     t2 = tau(inst.n, inst.m + 1)
-    placed = build_duo(inst)
-    objective = _eval_placed(inst.n, placed, inst.x)
-    expected = minimum(inst)
-    if objective != expected:
-        raise ConstructionError(f"duo vector scores {objective}, the chord says {expected}")
+    exact = inst.r == 0
+    placed = tuple(_gamma_placed(inst, t1.tau_u)) if exact else build_duo(inst)
     return SolveReport(
         instance=inst,
         placed=placed,
-        objective=objective,
-        status=PROVEN if t1.tau_u == t2.tau_u or t1.tau_l == t2.tau_l else CONJECTURED,
-        method="continuous/duo-equidistant",
+        objective=_scored(inst, placed, minimum(inst)),
+        status=PROVEN if exact or t1.tau_u == t2.tau_u or t1.tau_l == t2.tau_l else CONJECTURED,
+        method="continuous/equidistant" if exact else "continuous/duo-equidistant",
         tau_main=t1,
         tau_next=t2,
     )

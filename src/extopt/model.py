@@ -76,10 +76,7 @@ class Instance:
     y: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValidationError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValidationError(f"n must be at least 1, got {self.n}")
+        _integer("n", self.n, 1)
         object.__setattr__(self, "x", as_rational(self.x))
         object.__setattr__(self, "w", as_rational(self.w))
         if self.x <= 0:
@@ -130,6 +127,23 @@ class QueueParams:
         return self.lam * self.mu1
 
 
+def _integer(name: str, value: int, lo: int, hi: int | None = None) -> int:
+    """``value`` if it is an int, not a bool, in [lo, hi] (no upper bound
+    when ``hi`` is None); otherwise ValidationError."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or value < lo or (hi is not None and value > hi)):
+        bounds = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
+def _common(*values: Fraction) -> tuple[int, list[int]]:
+    """(D, numerators): each value as an integer over the one common
+    denominator D, the least common multiple of their denominators."""
+    denom = math.lcm(*[v.denominator for v in values])
+    return denom, [v.numerator * (denom // v.denominator) for v in values]
+
+
 def _positive(x: RationalLike) -> Fraction:
     xq = as_rational(x)
     if xq <= 0:
@@ -146,11 +160,12 @@ def _scaled(
     denominator, so every interval sum is an exact integer.
     """
     vec = service_vector(v)
-    xq = _positive(x)
-    ratios = [e.as_integer_ratio() for e in vec]
-    denom = math.lcm(xq.denominator, *{q for _, q in ratios})
-    vals = [p * (denom // q) for p, q in ratios]
-    return vec, vals, xq.numerator * (denom // xq.denominator), denom
+    # keyed by id, as in `service_vector`
+    ids = list(map(id, vec))
+    distinct = dict(zip(ids, vec))
+    denom, (xs, *nums) = _common(_positive(x), *distinct.values())
+    scaled = dict(zip(distinct, nums))
+    return vec, list(map(scaled.__getitem__, ids)), xs, denom
 
 
 def _widths(n: int, at: Sequence[int]) -> list[int]:
@@ -221,11 +236,11 @@ def _scaled_placement(
     # keyed by id, as in `service_vector`
     ids = list(map(id, map(operator.itemgetter(1), placed)))
     distinct = dict(zip(ids, map(operator.itemgetter(1), placed)))
-    denom = math.lcm(x.denominator, *[e.denominator for e in distinct.values()])
-    scaled = {key: e.numerator * (denom // e.denominator) for key, e in distinct.items()}
+    denom, (xs, *nums) = _common(x, *distinct.values())
+    scaled = dict(zip(distinct, nums))
     masses = list(map(scaled.__getitem__, ids))
     at = list(map(operator.itemgetter(0), placed))
-    return masses, _widths(n, at), x.numerator * (denom // x.denominator), denom
+    return masses, _widths(n, at), xs, denom
 
 
 def _eval_placed(n: int, placed: Placement, x: Fraction) -> Fraction:
@@ -248,8 +263,7 @@ def eval_f_row(v: Iterable[RationalLike], x: RationalLike, j: int) -> Fraction:
     """Shortfall restricted to the n+1-j intervals of exactly j consecutive indices."""
     _, vals, xs, denom = _scaled(v, x)
     n = len(vals)
-    if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= n:
-        raise ValidationError(f"row length j must be an integer in [1, {n}], got {j!r}")
+    _integer("row length j", j, 1, n)
     prefix = list(itertools.accumulate(vals, initial=0))
     total = sum(max(xs - (prefix[k + j] - prefix[k]), 0) for k in range(n + 1 - j))
     return Fraction(total, denom)
@@ -271,9 +285,7 @@ def strict_pair_sum(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
 
 def externality_mean(q: QueueParams, n: int, x: RationalLike) -> Fraction:
     """Expected externalities n*x/(1 - rho); independent of the service vector."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    return n * _positive(x) / (1 - q.rho)
+    return _integer("n", n, 1) * _positive(x) / (1 - q.rho)
 
 
 def externality_variance(

@@ -26,10 +26,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .certificate import DualCertificate, check_certificate, dual_certificate
-from .combinatorial import _scale
 from .continuous import solve_continuous
 from .errors import ConstructionError, SizeCapError, ValidationError
-from .model import Instance, _runs, _scaled, _shortfall
+from .model import Instance, _common, _integer, _runs, _scaled, _shortfall
 from .model import eval_f  # noqa: F401  perfbench/tracing.py wraps it under this module
 from .report import CONFIRMED, SolveReport
 
@@ -113,7 +112,7 @@ def brute_force_combinatorial(
     cost = math.comb(n, m) * n
     if cost > cap:
         raise SizeCapError(f"{cost} candidate evaluations exceed the cap {cap}")
-    denom, x_s, r_s = _scale(inst)
+    denom, (x_s, r_s) = _common(inst.x, inst.r)
 
     def placements() -> Iterator[tuple[int, ...]]:
         for combo in itertools.combinations(range(n), m):
@@ -150,16 +149,13 @@ def grid_search(
     best value so far is pruned, and ties go to the lexicographically first
     minimizer.  ``cap`` bounds the size of the whole lattice.
     """
-    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
-        raise ValidationError(f"resolution must be a positive integer, got {resolution!r}")
+    _integer("resolution", resolution, 1)
     n = inst.n
     points = math.comb(resolution + n - 1, n - 1)
     if points > cap:
         raise SizeCapError(f"{points} lattice points exceed the cap {cap}")
     step = inst.w / resolution
-    denom = math.lcm(inst.x.denominator, step.denominator)
-    x_s = int(inst.x * denom)
-    u_s = int(step * denom)
+    denom, (x_s, u_s) = _common(inst.x, step)
 
     # the current path: parts[:d] are fixed, prefix[:d+1] their scaled prefix
     # sums, acc[k] = prefix[0] + ... + prefix[k-1] and partial[d] the
@@ -422,12 +418,8 @@ def projected_subgradient(
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     # largest rational g with a/g and b/g integers; a, b > 0
-    common = math.lcm(a.denominator, b.denominator)
-    return Fraction(
-        math.gcd(a.numerator * (common // a.denominator),
-                 b.numerator * (common // b.denominator)),
-        common,
-    )
+    common, nums = _common(a, b)
+    return Fraction(math.gcd(*nums), common)
 
 
 def duo_lattice_resolution(inst: Instance) -> int:

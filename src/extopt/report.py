@@ -10,8 +10,7 @@ from typing import TYPE_CHECKING, Optional
 from .model import _materialize
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .combinatorial import DeltaCertificate
-    from .continuous import TauPair
+    from .combinatorial import DeltaCertificate, TauPair
     from .model import Instance
 
 PROVEN = "PROVEN"

@@ -424,6 +424,13 @@ class TestEnumerate:
         code, _, _ = run_cli(capsys, "enumerate", "-n", "25", "-x", "1", "-w", "3.5", "--cap", "20")
         assert code == 2
 
+    def test_delta_zero_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "-n", "7", "-x", "1", "-w", "2.2",
+                                 "--delta", "0")
+        assert code == 2
+        assert out == ""
+        assert "delta must be an integer in [1, 8], got 0" in err
+
 
 class TestInternalError:
     def test_unexpected_exception_exits_1(self, capsys, monkeypatch):

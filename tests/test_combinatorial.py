@@ -459,6 +459,20 @@ class TestEnumerateAgainstDefinition:
 
 
 class TestSolveCombinatorial:
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_m_zero_solve_checks_its_score(self, shift, monkeypatch):
+        # a mass moved off the middle of n = 7 slots scores above the closed
+        # form x·n(n+1)/2 - r·4·4, and the solve refuses it
+        from extopt import ConstructionError, combinatorial
+
+        original = combinatorial._gamma_placed
+        monkeypatch.setattr(
+            combinatorial, "_gamma_placed",
+            lambda i, delta: [(j + shift, e) for j, e in original(i, delta)],
+        )
+        with pytest.raises(ConstructionError):
+            solve_combinatorial(inst(7, 1, "0.5"))
+
     def test_example_values(self):
         assert solve_combinatorial(inst(7, 1, "2.2")).objective == F("33/5")
         assert solve_combinatorial(inst(9, "1.1", "2.2")).objective == F("66/5")

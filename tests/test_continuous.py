@@ -69,6 +69,20 @@ class TestSolveContinuousInteger:
         assert report.objective == 6
         assert solve_continuous_integer(inst(8, 1, 3)).objective == 6
 
+    def test_is_the_continuous_solve_at_r_zero(self):
+        # r = 0 is PROVEN even where the tau pairs of m and m+1 share no bound
+        apart = 0
+        for n, x, w in twelfths_grid():
+            i = inst(n, x, w)
+            if i.r:
+                continue
+            report = solve_continuous_integer(i)
+            assert report == solve_continuous(i)
+            assert (report.status, report.method) == (PROVEN, "continuous/equidistant")
+            t1, t2 = report.tau_main, report.tau_next
+            apart += t1.tau_u != t2.tau_u and t1.tau_l != t2.tau_l
+        assert apart > 0
+
     def test_wrong_branch_error(self):
         with pytest.raises(ValidationError, match="solve_continuous"):
             solve_continuous_integer(inst(7, 1, "2.2"))

@@ -1,11 +1,13 @@
 """Core types, the shortfall objective, and the queueing moment formulas."""
 
+import contextlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from extopt import (
+    ConstructionError,
     Instance,
     QueueParams,
     StabilityError,
@@ -15,12 +17,22 @@ from extopt import (
     externality_mean,
     externality_variance,
 )
+from extopt.combinatorial import (
+    _gamma_placed,
+    _gamma_placements,
+    a_value,
+    h,
+    middle_points,
+    phi,
+)
+from extopt.continuous import canonical_gap_profiles, tau
 from extopt.model import (
     as_rational,
     eval_f_row,
     strict_pair_sum,
     supremum_vector,
 )
+from extopt.oracle import grid_search
 from helpers import (
     in_lambda,
     in_upsilon,
@@ -317,3 +329,39 @@ class TestMembership:
             assert in_lambda(v, inst.w)
             assert sum(v, F(0)) == inst.w
             assert all(e <= inst.x for e in v)
+
+
+# each integer argument as (label, call, lo, hi): the call takes the argument
+# alone, and hi is None where there is no upper bound
+EXAMPLE = Instance(7, 1, F("11/5"))  # m = 2
+INTEGER_ARGUMENTS = [
+    ("Instance n", lambda v: Instance(v, 1, F("1/2")), 1, None),
+    ("eval_f_row j", lambda v: eval_f_row((1, 0, 0), 1, v), 1, 3),
+    ("externality_mean n", lambda v: externality_mean(QueueParams(0, 1, 1), v, 1), 1, None),
+    ("middle_points a", lambda v: middle_points(v, 5), 1, 4),
+    ("middle_points b", lambda v: middle_points(2, v), 3, None),
+    ("h a", lambda v: h(v, 5), 1, 5),
+    ("h b", lambda v: h(2, v), 2, None),
+    ("a_value delta", lambda v: a_value(EXAMPLE, v), 1, 6),
+    ("phi delta", lambda v: phi(EXAMPLE, v), 1, 6),
+    ("_gamma_placed delta", lambda v: _gamma_placed(EXAMPLE, v), 1, None),
+    ("_gamma_placements delta", lambda v: _gamma_placements(EXAMPLE, v, 20), 1, 8),
+    ("tau n", lambda v: tau(v, 0), 1, None),
+    ("tau m", lambda v: tau(7, v), 0, 7),
+    ("canonical_gap_profiles n", lambda v: canonical_gap_profiles(v, 0), 1, None),
+    ("canonical_gap_profiles m", lambda v: canonical_gap_profiles(7, v), 0, 6),
+    ("grid_search resolution", lambda v: grid_search(EXAMPLE, v), 1, None),
+]
+
+
+@pytest.mark.parametrize(
+    "call,lo,hi", [case[1:] for case in INTEGER_ARGUMENTS], ids=[case[0] for case in INTEGER_ARGUMENTS]
+)
+def test_integer_arguments_are_checked(call, lo, hi):
+    for bad in [True, 1.0, lo - 1] + ([hi + 1] if hi is not None else []):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call(bad)
+    # the bounds pass the check, though a construction may still refuse them
+    for good in [lo] + ([hi] if hi is not None else []):
+        with contextlib.suppress(ConstructionError):
+            call(good)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from extopt import Instance, ValidationError, eval_f, solve_combinatorial, solve_continuous
 from extopt.certificate import DualCertificate, check_certificate, dual_certificate
 from extopt.cli import _dumps, _vec
+from extopt.continuous import minimum
 from extopt.model import (
     _eval_placed, _materialize, as_rational, service_vector, strict_pair_sum,
 )
@@ -179,6 +180,28 @@ def test_reports_are_feasible_and_scored_exactly(inst):
         assert sum(report.vector) == inst.w
         assert all(0 <= e <= inst.x for e in report.vector)
         assert eval_f(report.vector, inst.x) == report.objective
+
+
+@DERANDOMIZED
+@given(inst=instances(max_n=40), c=st.builds(F, st.integers(1, 50), st.integers(1, 50)))
+def test_solvers_scale_with_x_and_w(inst, c):
+    # f(c·v; c·x) = c·f(v; x), and m and r/x do not change with c
+    scaled = Instance(inst.n, c * inst.x, c * inst.w)
+    for solve in (solve_continuous, solve_combinatorial):
+        base, report = solve(inst), solve(scaled)
+        assert [i for i, _ in report.placed] == [i for i, _ in base.placed]
+        assert [e for _, e in report.placed] == [c * e for _, e in base.placed]
+        assert report.objective == c * base.objective
+        assert report.status == base.status
+
+
+@DERANDOMIZED
+@given(n=st.integers(1, 40), x=positive_rationals, data=st.data())
+def test_minimum_does_not_increase_with_w(n, x, data):
+    # w = x·k/12 for 0 < k < 12n, so 0 < w < n·x
+    low = data.draw(st.integers(1, 12 * n - 2))
+    high = data.draw(st.integers(low + 1, 12 * n - 1))
+    assert minimum(Instance(n, x, x * high / 12)) <= minimum(Instance(n, x, x * low / 12))
 
 
 # strings with quotes, backslashes, control and non-ASCII characters
