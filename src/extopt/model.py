@@ -140,8 +140,9 @@ def _integer(name: str, value: int, lo: int, hi: int | None = None) -> int:
 def _common(*values: Fraction) -> tuple[int, list[int]]:
     """(D, numerators): each value as an integer over the one common
     denominator D, the least common multiple of their denominators."""
-    denom = math.lcm(*[v.denominator for v in values])
-    return denom, [v.numerator * (denom // v.denominator) for v in values]
+    ratios = [v.as_integer_ratio() for v in values]
+    denom = math.lcm(*{q for _, q in ratios})
+    return denom, [p * (denom // q) for p, q in ratios]
 
 
 def _positive(x: RationalLike) -> Fraction:
@@ -160,12 +161,8 @@ def _scaled(
     denominator, so every interval sum is an exact integer.
     """
     vec = service_vector(v)
-    # keyed by id, as in `service_vector`
-    ids = list(map(id, vec))
-    distinct = dict(zip(ids, vec))
-    denom, (xs, *nums) = _common(_positive(x), *distinct.values())
-    scaled = dict(zip(distinct, nums))
-    return vec, list(map(scaled.__getitem__, ids)), xs, denom
+    denom, (xs, *vals) = _common(_positive(x), *vec)
+    return vec, vals, xs, denom
 
 
 def _widths(n: int, at: Sequence[int]) -> list[int]:
