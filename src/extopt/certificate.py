@@ -28,39 +28,41 @@ class DualCertificate:
 
     Interval [k, e) covers coordinates k..e-1.  α is 1 on every strictly
     unsaturated interval of the certified vector and on the tight intervals
-    in ``tight``, 0 on all others, and no coordinate is covered by more
+    of ``runs``, 0 on all others: run (lo, hi, e) is [k, e) for k = lo..hi,
+    and no two runs share an interval.  No coordinate is covered by more
     than ``mu`` intervals with α = 1.  `check_certificate` rebuilds α from
     the vector and checks all of this.  The counts describe the vector.
     """
 
     mu: int
-    tight: tuple[tuple[int, int], ...]
+    runs: tuple[tuple[int, int, int], ...]
     tight_count: int
     unsaturated_count: int
 
 
-def _first_tight(prefix: list[int], xs: int) -> list[int]:
-    """Per start k, the first end lo whose interval [k, lo) is not
-    unsaturated: [k, e) is unsaturated for e in k+1..lo-1."""
-    return [bisect.bisect_left(prefix, prefix[k] + xs, k + 1) for k in range(len(prefix) - 1)]
+def _unsaturated(prefix: list[int], xs: int) -> list[tuple[int, int, int, int]]:
+    """The unsaturated intervals as blocks (k, k, k+1, lo-1): [k, e) is
+    unsaturated for e = k+1..lo-1, where [k, lo) is the first that is not."""
+    return [(k, k, k + 1, bisect.bisect_left(prefix, prefix[k] + xs, k + 1) - 1)
+            for k in range(len(prefix) - 1)]
 
 
-def _forced_coverage(first_tight: list[int]) -> tuple[int, list[int]]:
-    """The number of unsaturated intervals and how often each coordinate
-    lies in one of them."""
-    n = len(first_tight)
-    # a second difference: the ends k+1..lo-1 of start k together cover
-    # k..lo-2 with the ramp c, c-1, ..., 1, where c = lo-k-1
-    ramp = [0] * (n + 2)
-    unsaturated = 0
-    for k, lo in enumerate(first_tight):
-        c = lo - k - 1
-        if c:
-            unsaturated += c
-            ramp[k] += c
-            ramp[k + 1] -= c + 1
-            ramp[lo] += 1
-    return unsaturated, list(itertools.accumulate(itertools.accumulate(ramp[:n])))
+def _coverage(n: int, blocks: Iterable[tuple[int, int, int, int]]) -> tuple[int, list[int]]:
+    """The number of intervals in ``blocks`` and how often each coordinate
+    0..n-1 lies in one of them.  A block (k1, k2, e1, e2) holds [k, e) for
+    k = k1..k2 and e = e1..e2, each with k < e <= n."""
+    # coordinate i lies in the intervals that start at or before i less those
+    # that end at or before i: a running sum of a running sum
+    diff = [0] * (n + 2)
+    count = 0
+    for k1, k2, e1, e2 in blocks:
+        starts, ends = k2 - k1 + 1, e2 - e1 + 1
+        count += starts * ends
+        diff[k1] += ends
+        diff[k2 + 1] -= ends
+        diff[e1] -= starts
+        diff[e2 + 1] += starts
+    return count, list(itertools.accumulate(itertools.accumulate(diff[:n])))
 
 
 def _greedy_certificate(
@@ -82,13 +84,13 @@ def _greedy_certificate(
     """
     n = inst.n
     mu = (_twice_h(inst.m + 1, n + 1) - _twice_h(inst.m + 2, n + 1)) // 2
-    unsaturated, cover = _forced_coverage(_first_tight(prefix, xs))
+    unsaturated, cover = _coverage(n, _unsaturated(prefix, xs))
     if max(cover) > mu:
         return None
     # the tight starts of end e are the run of prefix[e] - xs in prefix
     first = dict(zip(reversed(prefix), range(n, -1, -1)))
     last = dict(zip(prefix, range(n + 1)))
-    chosen: list[tuple[int, int]] = []
+    runs: list[tuple[int, int, int]] = []
     tight_count = 0
     for e in range(1, n + 1):
         khi = last.get(prefix[e] - xs)
@@ -114,12 +116,12 @@ def _greedy_certificate(
             cover[khi:e] = map(taken.__add__, cover[khi:e])
             for i in range(1, taken):
                 cover[khi - i] += taken - i
-            chosen.extend(zip(range(k + 1, khi + 1), itertools.repeat(e)))
+            runs.append((k + 1, khi, e))
     if any(c != mu for c, val in zip(cover, vals) if val):
         return None
     return DualCertificate(
         mu=mu,
-        tight=tuple(chosen),
+        runs=tuple(runs),
         tight_count=tight_count,
         unsaturated_count=unsaturated,
     )
@@ -170,25 +172,21 @@ def check_certificate(v: Iterable, inst: Instance, cert: DualCertificate) -> Fra
     ``cert`` proves, when it equals f(v) for a v of n entries summing to w;
     None otherwise.
 
-    α is rebuilt from v alone: 1 on its unsaturated intervals and on those
-    in ``cert.tight``, which must be distinct and tight.  So the answer does
-    not depend on how the certificate was found.
+    α is rebuilt from v alone: 1 on its unsaturated intervals and on the
+    runs of ``cert``, which must be tight and must not overlap.  So the
+    answer does not depend on how the certificate was found.
     """
     vec, vals, xs, denom = _scaled(v, inst.x)
     prefix = list(itertools.accumulate(vals, initial=0))
     n = len(vec)
-    tight = set(cert.tight)
+    runs = sorted(cert.runs, key=lambda run: (run[2], run[0]))
+    # the prefix sums never decrease, so equal sums at lo and hi make every
+    # start of the run tight
     if (not _on_budget(prefix, denom, inst) or cert.mu < 0
-            or len(tight) != len(cert.tight)
-            or any(not 0 <= k < e <= n or prefix[e] - prefix[k] != xs for k, e in tight)):
+            or any(not 0 <= lo <= hi < e <= n or prefix[lo] != prefix[hi]
+                   or prefix[e] - prefix[lo] != xs for lo, hi, e in runs)
+            or any(e == e2 and lo2 <= hi for (_, hi, e), (lo2, _, e2) in zip(runs, runs[1:]))):
         return None
-    unsaturated, forced = _forced_coverage(_first_tight(prefix, xs))
-    # the tight intervals' coverage as a first difference
-    steps = [0] * (n + 1)
-    for k, e in tight:
-        steps[k] += 1
-        steps[e] -= 1
-    if any(a + b > cert.mu for a, b in zip(forced, itertools.accumulate(steps))):
-        return None
-    bound = inst.x * (unsaturated + len(tight)) - cert.mu * inst.w
-    return bound if bound == eval_f(vec, inst.x) else None
+    count, cover = _coverage(n, _unsaturated(prefix, xs) + [(lo, hi, e, e) for lo, hi, e in runs])
+    bound = inst.x * count - cert.mu * inst.w
+    return bound if max(cover) <= cert.mu and bound == eval_f(vec, inst.x) else None

@@ -189,7 +189,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "mu": cert.mu,
             "lower_bound": _frac(report.oracle_value),
             "tight_intervals": cert.tight_count,
-            "alpha_one_intervals": cert.unsaturated_count + len(cert.tight),
+            "alpha_one_intervals": cert.unsaturated_count
+            + sum(hi - lo + 1 for lo, hi, _ in cert.runs),
             "unsaturated_intervals": cert.unsaturated_count,
         },
     }

@@ -1,5 +1,6 @@
 """Brute-force, lattice, and subgradient oracles plus the verify harness."""
 
+import json
 import math
 import random
 import time
@@ -28,6 +29,7 @@ from extopt import (
 from extopt.combinatorial import near_equidistant_parts
 from extopt.model import as_rational
 from extopt.certificate import DualCertificate, check_certificate, dual_certificate
+from extopt.cli import main
 from extopt.oracle import (
     _project_rows,
     _shortfall_and_gradient,
@@ -354,16 +356,25 @@ class TestDualCertificate:
         duo = solve_continuous(i).vector
         cert = dual_certificate(duo, i)
         assert check_certificate(duo, i, cert) == naive_f(duo, i.x)
+        runs = cert.runs
+        assert runs == ((0, 1, 3), (2, 2, 4), (3, 3, 6), (5, 5, 7))
         prefix = [sum(duo[:e], F(0)) for e in range(i.n + 1)]
-        unused = [(k, e) for k in range(i.n) for e in range(k + 1, i.n + 1)
-                  if prefix[e] - prefix[k] == i.x and (k, e) not in cert.tight]
-        assert cert.tight and unused
+        chosen = {(k, e) for lo, hi, e in runs for k in range(lo, hi + 1)}
+        unused = [(k, k, e) for k in range(i.n) for e in range(k + 1, i.n + 1)
+                  if prefix[e] - prefix[k] == i.x and (k, e) not in chosen]
+        # every run below that is not shifted is tight
+        assert prefix[7] - prefix[4] == prefix[3] - prefix[1] == i.x
         mutations = [
-            replace(cert, tight=cert.tight[1:]),  # one α flipped to 0
-            replace(cert, tight=cert.tight + tuple(unused[:1])),  # one α flipped to 1
-            replace(cert, mu=cert.mu - 1),
+            replace(cert, runs=runs[:1] + runs[2:]),  # one α flipped to 0
+            replace(cert, runs=runs + tuple(unused[:1])),  # one α flipped to 1
+            replace(cert, runs=runs[:3] + ((4, 5, 7),)),  # a run one start longer
+            replace(cert, runs=((1, 1, 3),) + runs[1:]),  # a run one start shorter
+            replace(cert, runs=((1, 2, 3),) + runs[1:]),  # a run shifted by one
+            # the same Σα and bound, but [1, 3) taken twice in place of [0, 3)
+            replace(cert, runs=((1, 1, 3), (1, 1, 3)) + runs[1:]),
             # the same Σα and bound, but some coordinate covered μ+1 times
-            replace(cert, tight=cert.tight[1:] + tuple(unused[:1])),
+            replace(cert, runs=runs[:1] + runs[2:] + tuple(unused[:1])),
+            replace(cert, mu=cert.mu - 1),
         ]
         for mutated in mutations:
             assert check_certificate(duo, i, mutated) is None
@@ -454,8 +465,8 @@ class TestGreedyCertificate:
             greedy = dual_certificate(duo, i)
             mu, tight = flow_certificate(duo, x)
             assert greedy.mu == mu == chord_mu(n, i.m)
-            assert len(greedy.tight) == len(tight)
-            flow = replace(greedy, mu=mu, tight=tuple(tight))
+            assert sum(hi - lo + 1 for lo, hi, _ in greedy.runs) == len(tight)
+            flow = replace(greedy, mu=mu, runs=tuple((k, k, e) for k, e in tight))
             assert check_certificate(duo, i, greedy) == check_certificate(duo, i, flow) is not None
 
     def test_verify_never_needs_the_flow(self):
@@ -466,12 +477,18 @@ class TestGreedyCertificate:
         for i in cases:
             assert verify_conjecture(i).status == CONFIRMED
 
-    def test_verify_certifies_a_sparse_vector_at_n_1000(self):
+    def test_verify_certifies_a_sparse_vector_at_n_1000(self, capsys):
         # 111,389 tight intervals: the reference flow takes tens of seconds here
         report = verify_conjecture(inst(1000, 1, "5/2"))
         assert report.status == CONFIRMED
         cert = report.certificate
         assert (cert.mu, cert.tight_count) == (chord_mu(1000, 2), 111389) == (41750, 111389)
+        assert len(cert.runs) <= 1000
+        # the runs expand to the chosen tight intervals that verify reports
+        assert main(["verify", "-n", "1000", "-x", "1", "-w", "5/2"]) == 0
+        block = json.loads(capsys.readouterr().out)["result"]["certificate"]
+        chosen = {(k, e) for lo, hi, e in cert.runs for k in range(lo, hi + 1)}
+        assert len(chosen) == block["alpha_one_intervals"] - block["unsaturated_intervals"]
 
     def test_without_the_greedy_only_a_beaten_vector_gets_a_point(self, monkeypatch):
         monkeypatch.setattr("extopt.certificate._greedy_certificate", lambda *args: None)
@@ -579,7 +596,7 @@ class TestVerifyConjecture:
         # them per start instead of listing them
         i = inst(3000, 1, "5/2")
         duo = solve_continuous(i).vector
-        loose = DualCertificate(mu=10**9, tight=(), tight_count=0, unsaturated_count=0)
+        loose = DualCertificate(mu=10**9, runs=(), tight_count=0, unsaturated_count=0)
         start = time.perf_counter()
         assert check_certificate(duo, i, loose) is None
         assert time.perf_counter() - start < 5

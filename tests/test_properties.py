@@ -1,6 +1,7 @@
 """Properties of the objective, the solvers and the dual certificate, checked by Hypothesis."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings
@@ -38,13 +39,38 @@ def instances(draw, max_n=7):
 def test_certified_bound_is_below_every_feasible_point(inst, data):
     cert = dual_certificate(solve_continuous(inst).vector, inst)
     assume(isinstance(cert, DualCertificate))
-    bound = inst.x * (cert.unsaturated_count + len(cert.tight)) - cert.mu * inst.w
+    chosen = sum(hi - lo + 1 for lo, hi, _ in cert.runs)
+    bound = inst.x * (cert.unsaturated_count + chosen) - cert.mu * inst.w
     # a feasible rational u: nonnegative parts of w, of which only the total counts
     parts = data.draw(st.lists(st.integers(0, 8), min_size=inst.n, max_size=inst.n))
     assume(sum(parts) > 0)
     spend = data.draw(st.sampled_from([F(1), F(1, 2), F(0)]))
     u = [inst.w * spend * p / sum(parts) for p in parts]
     assert bound <= naive_f(u, inst.x)
+
+
+@DERANDOMIZED
+@given(inst=instances())
+def test_certificate_runs_are_exact(inst):
+    duo = solve_continuous(inst).vector
+    cert = dual_certificate(duo, inst)
+    assume(isinstance(cert, DualCertificate))
+    assert len(cert.runs) <= inst.n
+    bound = check_certificate(duo, inst, cert)
+    split = tuple((k, k, e) for lo, hi, e in cert.runs for k in range(lo, hi + 1))
+    assert check_certificate(duo, inst, replace(cert, runs=split)) == bound is not None
+    for j, (lo, hi, e) in enumerate(cert.runs):
+        def with_run(*run):
+            return check_certificate(duo, inst, replace(cert, runs=cert.runs[:j] + run + cert.runs[j + 1:]))
+        # one start more takes a Σα above f(duo), which weak duality forbids;
+        # one start less falls short of f(duo); hi is the last tight start
+        # of e, so a shift to later starts takes a start that is not tight
+        assert with_run((lo - 1, hi, e)) is None and with_run((lo, hi + 1, e)) is None
+        assert with_run((lo + 1, hi, e)) is None and with_run((lo, hi - 1, e)) is None
+        assert with_run() is None
+        assert with_run((lo + 1, hi + 1, e)) is None
+        # a shift to earlier starts keeps Σα, so it proves the same bound or nothing
+        assert with_run((lo - 1, hi - 1, e)) in (None, bound)
 
 
 @DERANDOMIZED
