@@ -271,6 +271,7 @@ def strict_pair_sum(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
 
     This is the total shortfall of the vector's placement minus its
     singleton intervals: x for each zero entry and (x - mass)^+ for each mass.
+    It is the O(n) reference for the closed forms of `variance_range`.
     """
     vec = service_vector(v)
     n = len(vec)
@@ -291,14 +292,41 @@ def externality_variance(
     """Externalities variance: lam*mu2/(1-rho)^3 * (n*x + 2 * pair shortfall).
 
     The bracket sums intervals of length >= 2 only; singleton intervals do
-    not enter, unlike :func:`eval_f`.
+    not enter, unlike :func:`eval_f`.  This is the O(n) reference over a
+    whole vector; `variance_range` gives the two extremes in O(1).
     """
     vec = tuple(v)
     pairs = strict_pair_sum(vec, x)  # validates v and x
-    factor = q.lam * q.mu2 / (1 - q.rho) ** 3
-    return factor * (len(vec) * as_rational(x) + 2 * pairs)
+    return _variance_factor(q) * (len(vec) * as_rational(x) + 2 * pairs)
+
+
+def _variance_factor(q: QueueParams) -> Fraction:
+    return q.lam * q.mu2 / (1 - q.rho) ** 3
+
+
+def variance_range(q: QueueParams, inst: Instance, f_min: Fraction) -> tuple[Fraction, Fraction]:
+    """(variance_min, variance_sup) of ``inst`` in O(1), from ``f_min``, the
+    exact minimum of `eval_f` over the slab.
+
+    Minimum: every entry of the minimizer lies in [0, x], so each singleton
+    interval falls short by x - v_i and the singletons sum to exactly
+    n*x - w.  The pair shortfall is then f_min - (n*x - w), and the variance
+    is factor*(n*x + 2*(f_min - n*x + w)) = factor*(2w - n*x + 2*f_min).
+    Supremum: for `supremum_vector`, (w, 0, ..., 0), the (n-1)(n-2)/2
+    intervals of length >= 2 among the zeros each fall short by x, and the
+    n-1 that start at the mass by (x - w)^+.  Its entry w may exceed x, so
+    the identity above does not hold there and the form is its own.
+    `externality_variance` over either vector is the O(n) reference.
+    """
+    n, x, w = inst.n, inst.x, inst.w
+    factor = _variance_factor(q)
+    pairs_sup = (n - 1) * (n - 2) * x / 2 + (n - 1) * max(x - w, 0)
+    return factor * (2 * w - n * x + 2 * f_min), factor * (n * x + 2 * pairs_sup)
 
 
 def supremum_vector(inst: Instance) -> tuple[Fraction, ...]:
-    """Variance-maximizing allocation: the whole budget on the first coordinate."""
+    """Variance-maximizing allocation: the whole budget on the first coordinate.
+
+    `variance_range` scores it in closed form; this vector is its O(n) reference.
+    """
     return (inst.w,) + (Fraction(0),) * (inst.n - 1)

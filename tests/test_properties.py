@@ -147,6 +147,34 @@ def test_placement_kernel_matches_the_naive_sums(case):
     assert strict_pair_sum(vec, x) == naive_strict_pairs(vec, x)
 
 
+@st.composite
+def vectors_within_x(draw):
+    """(v, x) with up to 40 entries, each a multiple of x/d in [0, x]; about
+    half are zero, so zero runs and masses of exactly x both occur."""
+    x = draw(positive_rationals)
+    d = draw(st.integers(1, 12))
+    parts = st.one_of(st.just(0), st.integers(0, d))
+    return [x * k / d for k in draw(st.lists(parts, min_size=1, max_size=40))], x
+
+
+@DERANDOMIZED
+@given(case=vectors_within_x())
+def test_pair_sum_is_f_less_the_singletons_within_x(case):
+    # the identity behind the O(1) variance_min: with every entry in [0, x]
+    # the n singleton intervals fall short by n*x - sum(v) in total
+    v, x = case
+    assert strict_pair_sum(v, x) == eval_f(v, x) - (len(v) * x - sum(v))
+
+
+def test_pair_sum_identity_needs_entries_within_x():
+    # (w, 0, ..., 0) with w > x: the mass's singleton falls short by 0, not
+    # x - w, so the identity is off by w - x and the supremum needs its own form
+    n, x, w = 5, F(1), F(5, 2)
+    v = [w] + [F(0)] * (n - 1)
+    assert strict_pair_sum(v, x) == (n - 1) * (n - 2) * x / 2 == 6
+    assert eval_f(v, x) - (n * x - w) - strict_pair_sum(v, x) == w - x
+
+
 def converted_entry_by_entry(v):
     """The vector check applied to every entry on its own, with its error."""
     try:
