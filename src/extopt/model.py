@@ -318,10 +318,12 @@ def variance_range(q: QueueParams, inst: Instance, f_min: Fraction) -> tuple[Fra
     the identity above does not hold there and the form is its own.
     `externality_variance` over either vector is the O(n) reference.
     """
-    n, x, w = inst.n, inst.x, inst.w
+    n = inst.n
+    # both brackets as integers over one denominator: two Fractions, not ten
+    denom, (xs, ws, fs) = _common(inst.x, inst.w, f_min)
+    sup = n * xs + (n - 1) * ((n - 2) * xs + 2 * max(xs - ws, 0))
     factor = _variance_factor(q)
-    pairs_sup = (n - 1) * (n - 2) * x / 2 + (n - 1) * max(x - w, 0)
-    return factor * (2 * w - n * x + 2 * f_min), factor * (n * x + 2 * pairs_sup)
+    return factor * Fraction(2 * ws - n * xs + 2 * fs, denom), factor * Fraction(sup, denom)
 
 
 def supremum_vector(inst: Instance) -> tuple[Fraction, ...]:

@@ -21,8 +21,7 @@ def load_tracing():
     return module
 
 
-TRACING_MODULE = load_tracing()
-TARGETS = [target for target, _ in TRACING_MODULE.WRAPPED] + ["extopt.oracle.SubgradientConfig"]
+TARGETS = [target for target, _ in load_tracing().WRAPPED] + ["extopt.oracle.SubgradientConfig"]
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -30,20 +29,3 @@ def test_target_resolves(target):
     module_name, attr = target.rsplit(".", 1)
     assert callable(getattr(importlib.import_module(module_name), attr))
 
-
-def test_tracer_installs_and_restores():
-    tracer = TRACING_MODULE.Tracer()
-    originals = {}
-    for target, _ in TRACING_MODULE.WRAPPED:
-        module_name, attr = target.rsplit(".", 1)
-        originals[target] = getattr(importlib.import_module(module_name), attr)
-    tracer.install()
-    try:
-        for target, _ in TRACING_MODULE.WRAPPED:
-            module_name, attr = target.rsplit(".", 1)
-            assert getattr(importlib.import_module(module_name), attr) is not originals[target]
-    finally:
-        tracer.uninstall()
-    for target, original in originals.items():
-        module_name, attr = target.rsplit(".", 1)
-        assert getattr(importlib.import_module(module_name), attr) is original

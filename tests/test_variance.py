@@ -7,7 +7,7 @@ import pytest
 
 from extopt import Instance, QueueParams, externality_variance, solve_continuous
 from extopt.cli import main
-from extopt.model import variance_range, supremum_vector
+from extopt.model import supremum_vector, variance_range
 from helpers import twelfths_grid
 
 F = Fraction
