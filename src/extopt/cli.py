@@ -9,6 +9,14 @@ stay reserved.  verify proves the duo construction optimal by an exact
 certificate, so it exits 0, or 1 on a failed self-check.  sweep
 --with-oracle writes that certificate's exact bound per row, so no command
 loads numpy.
+
+A command line whose first item names a command is parsed by that
+command's parser alone, in one argparse pass; what it leaves over is
+rejected with the full parser's "unrecognized arguments" error.  Any other
+command line goes through the full parser.  The JSON is written by a walk of
+the envelope that sends each key and each str, int, bool or None to its text
+by exact type, with no encoder built per value; its bytes equal
+``json.dumps(payload, indent=2)``.
 """
 
 from __future__ import annotations
@@ -122,9 +130,6 @@ def _solve_result(report: SolveReport) -> dict[str, Any]:
     return out
 
 
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
 @functools.cache
 def _encoder(indent: str) -> json.JSONEncoder:
     # no `indent`, so `encode` runs the C encoder; the item separator puts
@@ -132,17 +137,32 @@ def _encoder(indent: str) -> json.JSONEncoder:
     return json.JSONEncoder(separators=(",\n" + indent, ": "))
 
 
+# The JSON text of a scalar by its exact type.  `JSONEncoder.encode` builds a
+# new C encoder for every value that is not a str; these are the texts it
+# writes.  A float goes to it still, so that nan and ±inf keep its spelling,
+# and so does any other type (an IntEnum member, say).
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+    float: _encoder("").encode,
+}
+_SCALARS = frozenset(_SCALAR_TEXT)
+
+
 def _dumps(value: Any, indent: str = "") -> str:
     """The bytes of ``json.dumps(value, indent=2)`` for a payload with string
     keys, where a `_JSONTexts` stands for the list of its items' values.
     Dicts and nested lists are walked here; a `_JSONTexts` is joined as it
-    is, and any other flat list of scalars goes to the C encoder in one call."""
+    is, any other flat list of scalars goes to the C encoder in one call, and
+    a key or a lone scalar is written by `_SCALAR_TEXT`."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        encode = _encoder(inner).encode
-        body = (f"{encode(key)}: {_dumps(item, inner)}" for key, item in value.items())
+        key_text = _SCALAR_TEXT[str]
+        body = (f"{key_text(key)}: {_dumps(item, inner)}" for key, item in value.items())
         return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:
@@ -154,7 +174,8 @@ def _dumps(value: Any, indent: str = "") -> str:
         else:
             body = (",\n" + inner).join(_dumps(item, inner) for item in value)
         return "[\n" + inner + body + "\n" + indent + "]"
-    return _encoder(inner).encode(value)
+    text = _SCALAR_TEXT.get(type(value))
+    return text(value) if text else _encoder(inner).encode(value)
 
 
 def _emit(payload: dict) -> None:
@@ -332,7 +353,8 @@ def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap", type=int, default=None, help=f"lattice point cap{ignored}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and its subcommand parsers by command name."""
     parser = argparse.ArgumentParser(
         prog="extopt",
         description="Exact solvers and oracles for the interval-shortfall objective "
@@ -382,17 +404,41 @@ def build_parser() -> argparse.ArgumentParser:
                         help="widest gap (defaults to the optimal one)")
     p_enum.add_argument("--cap", type=int, default=None, help="max n for enumeration")
     p_enum.set_defaults(func=_cmd_enumerate)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on first use and reused: parsing leaves the parser unchanged
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # built on first use and reused: parsing leaves the parsers unchanged
+    return _build_parsers()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace the full parser gives for ``argv``, in one argparse pass
+    when ``argv[0]`` names a command.
+
+    The full parser hands every argument after the command to that
+    command's parser and then rejects what it left over; calling the
+    command's parser directly skips the full parser's classification of the
+    same arguments.  Any other command line (empty, --version, -h, an option
+    before the command, an unknown command) goes through the full parser.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (TrivialRegimeError, StabilityError) as exc:

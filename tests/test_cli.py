@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from extopt import Instance, SizeCapError, solve_combinatorial
-from extopt.cli import _sweep_rows, main
+from extopt import cli
+from extopt.cli import _sweep_rows, build_parser, main
 from extopt.combinatorial import a_value
 from extopt.continuous import closed_form_objective, solve_continuous, tau
 from helpers import bisect_f
@@ -507,3 +508,70 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+
+INSTANCE = ["-n", "7", "-x", "1", "-w", "11/5"]
+QUEUE = ["--lambda", "1/2", "--mu1", "1", "--mu2", "2"]
+SOLVE = ["solve", "--domain", "continuous", *INSTANCE]
+
+# (argv, exit code); "{tmp}" stands for a fresh directory
+DISPATCH_CASES = [
+    pytest.param(SOLVE, 0, id="solve-continuous"),
+    pytest.param(["solve", "--domain", "combinatorial", *INSTANCE], 0, id="solve-combinatorial"),
+    pytest.param(["verify", "-n", "5", "-x", "1", "-w", "17/12", "--seed", "3"], 0, id="verify"),
+    pytest.param(["sweep", "--n-from", "7", "--n-to", "8", "-x", "1", "--w-from", "1",
+                  "--w-to", "2", "--w-step", "1/2", "--output", "{tmp}/table.csv"],
+                 0, id="sweep"),
+    pytest.param(["variance", *INSTANCE, *QUEUE], 0, id="variance"),
+    pytest.param(["enumerate", *INSTANCE, "--delta", "3"], 0, id="enumerate"),
+    pytest.param([*SOLVE, "--bogus"], 2, id="unknown-trailing-option"),
+    pytest.param([*SOLVE, "stray"], 2, id="stray-positional"),
+    pytest.param(["variance", *INSTANCE, "--mu1", "1", "--mu2", "2"], 2, id="missing-flag"),
+    pytest.param(["solve", "--dom", "continuous", *INSTANCE], 0, id="abbreviation"),
+    pytest.param(["variance", *INSTANCE, "--lambda=1/2", "--mu1", "1", "--mu2", "2"],
+                 0, id="equals-form"),
+    pytest.param(["solve", "--domain", "continuous", "-n", "7", "-x", "1", "-w", "-1"],
+                 2, id="negative-number"),
+    pytest.param(["solve", "--domain", "continuous", "-n", "7", "-x", "1", "-w", "-1/2"],
+                 2, id="negative-ratio"),
+    pytest.param(["--", *SOLVE], 2, id="double-dash-before-command"),
+    pytest.param(["solve", "--", "--domain", "continuous", *INSTANCE], 2,
+                 id="double-dash-after-command"),
+    pytest.param(["solve", "-h"], 0, id="command-help"),
+    pytest.param(["--version"], 0, id="version"),
+    pytest.param([], 2, id="empty"),
+    pytest.param(["-n", "5", "solve"], 2, id="option-before-command"),
+    pytest.param(["sideways", *INSTANCE], 2, id="unknown-command"),
+]
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(("argv", "code"), DISPATCH_CASES)
+    def test_matches_the_full_parser(self, capsys, monkeypatch, tmp_path, argv, code):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        dispatched = outcome(capsys, argv)
+        assert dispatched[0] == code
+        # the reference: the full parser's namespace, then the same command
+        monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+        assert outcome(capsys, argv) == dispatched
+
+    def test_a_named_command_skips_the_full_parser(self, capsys, monkeypatch):
+        parser, _ = cli._parsers()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the full parser ran")
+
+        monkeypatch.setattr(parser, "parse_known_args", refused)
+        assert outcome(capsys, SOLVE)[0] == 0
+        with pytest.raises(AssertionError, match="the full parser ran"):
+            main(["--version"])

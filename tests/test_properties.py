@@ -1,7 +1,9 @@
 """Properties of the objective, the solvers and the dual certificate, checked by Hypothesis."""
 
 import json
+import math
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings
@@ -277,10 +279,36 @@ payloads = st.recursive(
 )
 
 
+class Level(IntEnum):
+    LOW = 1
+
+
+# a lone scalar is written by its exact type: a bool is not its int, and an
+# int subclass goes to the encoder
 @settings(DERANDOMIZED, max_examples=150)
 @given(payload=st.one_of(payloads, st.dictionaries(texts, payloads, max_size=6)))
+@example(payload=[True, 1, False, 0])
+@example(payload={"t": True, "one": 1, "f": False, "zero": 0, "bits": [1, True, 0, False]})
+@example(payload={"none": None, "nones": [None, {"none": None}]})
+@example(payload=None)
+@example(payload={"big": 2**64, "neg": -(2**200), "bigs": [2**64, {"big": 2**64 + 1}]})
+@example(payload={"level": Level.LOW, "levels": [Level.LOW, 1, True]})
+@example(payload=Level.LOW)
+@example(payload={"é\x00\n\x1f\u2028😀\"\\": "é\t€", "nan": [float("nan"), {"inf": -math.inf}]})
 def test_writer_matches_the_indented_encoder(payload):
     assert _dumps(payload) == json.dumps(payload, indent=2)
+
+
+def test_writer_runs_no_encoder_for_lone_str_int_bool_or_none(monkeypatch):
+    payload = {"s": "é\n", "i": -(2**64), "b": True, "n": None,
+               "nested": {"f": False, "zero": 0}, "mixed": [{"k": 1}, "x", None]}
+    expected = json.dumps(payload, indent=2)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the encoder ran")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refused)
+    assert _dumps(payload) == expected
 
 
 @st.composite
