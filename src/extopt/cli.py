@@ -1,7 +1,8 @@
 """Command-line front end: solve, verify, sweep, variance, enumerate.
 
 JSON goes to stdout, diagnostics to stderr, CSV only through --output.
-Rationals are serialized as exact "p/q" strings so reports round-trip.
+The payloads hold rationals as Fractions, written as exact "p/q" strings
+so reports round-trip.
 
 Exit codes: 0 success/CONFIRMED, 1 internal error, 2 invalid input or cap
 exceeded, 3 trivial or unstable regime; 4 (INCONCLUSIVE) and 5 (VIOLATED)
@@ -14,9 +15,10 @@ A command line whose first item names a command is parsed by that
 command's parser alone, in one argparse pass; what it leaves over is
 rejected with the full parser's "unrecognized arguments" error.  Any other
 command line goes through the full parser.  The JSON is written by a walk of
-the envelope that sends each key and each str, int, bool or None to its text
-by exact type, with no encoder built per value; its bytes equal
-``json.dumps(payload, indent=2)``.
+the envelope's dicts and lists that sends each key and each scalar to its
+text through one table by exact type (a Fraction as its "p/q" string), with
+no encoder built per value; its bytes equal ``json.dumps(payload, indent=2)``
+with each Fraction replaced by its string.
 """
 
 from __future__ import annotations
@@ -57,15 +59,13 @@ from .report import CONJECTURED, INCONCLUSIVE, PROVEN, SolveReport
 SCHEMA = "extopt/1"
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
-
-
 class _JSONTexts(list):
     """The JSON texts of a flat list's items, which `_dumps` joins as they are."""
 
 
-def _vec(n: int, placed: Placement, form: Callable[[Fraction], Any] = _frac) -> _JSONTexts:
+def _vec(
+    n: int, placed: Placement, form: Callable[[Fraction], Any] = lambda entry: entry
+) -> _JSONTexts:
     """The length-n vector whose nonzero entries are ``placed``, each entry
     written as the JSON text of ``form(entry)``.
 
@@ -76,13 +76,8 @@ def _vec(n: int, placed: Placement, form: Callable[[Fraction], Any] = _frac) -> 
     """
     values = list(map(operator.itemgetter(1), placed))
     ids = list(map(id, values))
-    distinct = dict(zip(ids, values))
-    # one encoder call for the zero and every distinct entry; a JSON text
-    # holds no raw line break, so the item separator splits the list exactly
-    forms = [form(Fraction(0)), *map(form, distinct.values())]
-    zero, *texts = _encoder("").encode(forms)[1:-1].split(",\n")
-    text = dict(zip(distinct, texts))
-    out = _JSONTexts(itertools.repeat(zero, n))
+    text = {key: _text(form(value)) for key, value in dict(zip(ids, values)).items()}
+    out = _JSONTexts(itertools.repeat(_text(form(Fraction(0))), n))
     collections.deque(
         map(out.__setitem__, map(operator.itemgetter(0), placed), map(text.__getitem__, ids)),
         maxlen=0,
@@ -101,13 +96,13 @@ def _envelope(command: str, instance: dict[str, Any], result: Any, status: str) 
 
 
 def _instance_dict(inst: Instance) -> dict[str, Any]:
-    return {"n": inst.n, "x": _frac(inst.x), "w": _frac(inst.w)}
+    return {"n": inst.n, "x": inst.x, "w": inst.w}
 
 
 def _solve_result(report: SolveReport) -> dict[str, Any]:
     out: dict[str, Any] = {
         "vector": _vec(report.instance.n, report.placed),
-        "objective": _frac(report.objective),
+        "objective": report.objective,
         "method": report.method,
     }
     if report.delta_star is not None:
@@ -118,9 +113,9 @@ def _solve_result(report: SolveReport) -> dict[str, Any]:
             "delta1": cert.delta1,
             "delta2": cert.delta2,
             "delta_star": cert.delta_star,
-            "a_delta1": _frac(cert.a_delta1),
-            "a_delta2": _frac(cert.a_delta2),
-            "window": [_frac(cert.window[0]), _frac(cert.window[1])],
+            "a_delta1": cert.a_delta1,
+            "a_delta2": cert.a_delta2,
+            "window": list(cert.window),
             "used_fallback": cert.used_fallback,
         }
     if report.tau_main is not None:
@@ -130,33 +125,32 @@ def _solve_result(report: SolveReport) -> dict[str, Any]:
     return out
 
 
-@functools.cache
-def _encoder(indent: str) -> json.JSONEncoder:
-    # no `indent`, so `encode` runs the C encoder; the item separator puts
-    # each list item on its own line at `indent`
-    return json.JSONEncoder(separators=(",\n" + indent, ": "))
-
-
-# The JSON text of a scalar by its exact type.  `JSONEncoder.encode` builds a
-# new C encoder for every value that is not a str; these are the texts it
-# writes.  A float goes to it still, so that nan and ±inf keep its spelling,
-# and so does any other type (an IntEnum member, say).
+# The JSON text of a scalar by its exact type: the text `json.dumps` writes,
+# and for a Fraction its exact "p/q" string, whose digits, "-" and "/" need
+# no escape.  `JSONEncoder.encode` builds a new C encoder for every value
+# that is not a str, so only a float (that nan and ±inf keep its spelling)
+# or a value of another type (an IntEnum member, say) goes to it.
 _SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
     str: json.encoder.encode_basestring_ascii,
     int: int.__repr__,
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): lambda _: "null",
-    float: _encoder("").encode,
+    Fraction: '"%s"'.__mod__,
 }
-_SCALARS = frozenset(_SCALAR_TEXT)
+_encode = json.JSONEncoder().encode
+
+
+def _text(value: Any) -> str:
+    """The JSON text of a scalar."""
+    return _SCALAR_TEXT.get(type(value), _encode)(value)
 
 
 def _dumps(value: Any, indent: str = "") -> str:
     """The bytes of ``json.dumps(value, indent=2)`` for a payload with string
-    keys, where a `_JSONTexts` stands for the list of its items' values.
-    Dicts and nested lists are walked here; a `_JSONTexts` is joined as it
-    is, any other flat list of scalars goes to the C encoder in one call, and
-    a key or a lone scalar is written by `_SCALAR_TEXT`."""
+    keys, where a Fraction stands for its "p/q" string and a `_JSONTexts`
+    for the list of its items' values.  Dicts and lists are walked here, a
+    `_JSONTexts` is joined as it is, and `_text` writes every key and
+    scalar."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -167,15 +161,9 @@ def _dumps(value: Any, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if isinstance(value, _JSONTexts):
-            body = (",\n" + inner).join(value)
-        elif _SCALARS.issuperset(map(type, value)):
-            body = _encoder(inner).encode(value)[1:-1]
-        else:
-            body = (",\n" + inner).join(_dumps(item, inner) for item in value)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    text = _SCALAR_TEXT.get(type(value))
-    return text(value) if text else _encoder(inner).encode(value)
+        texts = value if isinstance(value, _JSONTexts) else (_dumps(item, inner) for item in value)
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+    return _text(value)
 
 
 def _emit(payload: dict) -> None:
@@ -201,14 +189,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_conjecture(inst)
     cert = report.certificate
     result: dict[str, Any] = {
-        "constructed_objective": _frac(report.constructed_objective),
+        "constructed_objective": report.constructed_objective,
         "oracle_objective": report.oracle_objective,
         "gap": report.gap,
         "converged": report.converged,
         "oracle_minimizer": _vec(inst.n, report.construction.placed, float),
         "certificate": {
             "mu": cert.mu,
-            "lower_bound": _frac(report.oracle_value),
+            "lower_bound": report.oracle_value,
             "tight_intervals": cert.tight_count,
             "alpha_one_intervals": cert.unsaturated_count
             + sum(hi - lo + 1 for lo, hi, _ in cert.runs),
@@ -264,21 +252,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if args.with_oracle:
                 verified = verify_conjecture(inst)
                 cont = verified.construction
-                oracle_field = _frac(verified.oracle_value)
+                oracle_field = verified.oracle_value
             else:
                 cont = solve_continuous(inst)
             statuses.add(cont.status)
             writer.writerow(
                 [
                     n,
-                    _frac(inst.x),
-                    _frac(inst.w),
+                    inst.x,
+                    inst.w,
                     inst.m,
-                    _frac(inst.r),
+                    inst.r,
                     comb.delta_star,
                     cont.tau_main.tau_u if cont.tau_main else "",
                     cont.tau_next.tau_u if cont.tau_next else "",
-                    _frac(cont.objective),
+                    cont.objective,
                     oracle_field,
                     cont.status,
                 ]
@@ -306,15 +294,15 @@ def _cmd_variance(args: argparse.Namespace) -> int:
     # the solve has scored its objective and checked it against the chord
     variance_min, variance_sup = variance_range(q, inst, cont.objective)
     result = {
-        "mean": _frac(externality_mean(q, inst.n, inst.x)),
-        "variance_min": _frac(variance_min),
-        "variance_sup": _frac(variance_sup),
+        "mean": externality_mean(q, inst.n, inst.x),
+        "variance_min": variance_min,
+        "variance_sup": variance_sup,
         "minimizing_vector": _vec(inst.n, cont.placed),
         # the placement of model.supremum_vector(inst)
         "supremum_vector": _vec(inst.n, [(0, inst.w)]),
     }
     instance = _instance_dict(inst)
-    instance["queue"] = {"lambda": _frac(q.lam), "mu1": _frac(q.mu1), "mu2": _frac(q.mu2)}
+    instance["queue"] = {"lambda": q.lam, "mu1": q.mu1, "mu2": q.mu2}
     _emit(_envelope("variance", instance, result, cont.status))
     return 0
 

@@ -299,16 +299,65 @@ def test_writer_matches_the_indented_encoder(payload):
     assert _dumps(payload) == json.dumps(payload, indent=2)
 
 
+def _plain(value):
+    """``value`` with each Fraction replaced by its string, as `_dumps` writes it."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return str(value) if isinstance(value, Fraction) else value
+
+
 def test_writer_runs_no_encoder_for_lone_str_int_bool_or_none(monkeypatch):
+    # nor for a Fraction, alone, as a dict value, in a flat list or in a vector
+    yr = F(2, 3) + F(1, 3)
+    placed = [(1, yr), (3, F(-1, 3)), (4, yr), (6, F(2**70 + 1, 2**65))]
     payload = {"s": "é\n", "i": -(2**64), "b": True, "n": None,
-               "nested": {"f": False, "zero": 0}, "mixed": [{"k": 1}, "x", None]}
-    expected = json.dumps(payload, indent=2)
+               "nested": {"f": False, "zero": 0}, "mixed": [{"k": 1}, "x", None],
+               "window": [F(37, 28), F(11, 4)], "flat": ["x", -3, True, None],
+               "objective": F(-33, 5), "whole": F(3), "queue": {"lambda": F(1, 2)}}
+    expected = json.dumps(_plain(payload), indent=2)
+    vector = json.dumps({"vector": [str(e) for e in _materialize(7, placed)]}, indent=2)
 
     def refused(*args, **kwargs):
         raise AssertionError("the encoder ran")
 
     monkeypatch.setattr(json.JSONEncoder, "iterencode", refused)
     assert _dumps(payload) == expected
+    assert _dumps(F(5, 2)) == '"5/2"'
+    assert _dumps(F(-7)) == '"-7"'
+    assert _dumps({"vector": _vec(7, placed)}) == vector
+
+
+@DERANDOMIZED
+@given(value=st.fractions())
+@example(value=F(-3, 7))
+@example(value=F(3))  # written "3", not "3/1"
+@example(value=F(0))
+@example(value=F(-(2**70) - 1, 2**65))  # numerator and denominator above 2**64
+@example(value=F(2**64 + 1, 2**64 + 3))
+def test_writer_writes_fractions_exactly(value):
+    written = {"value": value, "window": [value, -value], "vector": _vec(3, [(1, value)])}
+    plain = {"value": str(value), "window": [str(value), str(-value)],
+             "vector": ["0", str(value), "0"]}
+    assert _dumps(value) == json.dumps(str(value))
+    assert _dumps(written) == json.dumps(plain, indent=2)
+
+
+def test_vector_writer_formats_each_distinct_entry_once():
+    # 1,000 masses share three value objects: `form` runs for the zero and
+    # for each object, not for each mass
+    pool = [F(7, 3), F(1, 3), F(2, 3)]
+    placed = [(2 * i, pool[i % 3]) for i in range(1000)]
+    calls = []
+
+    def form(entry):
+        calls.append(entry)
+        return entry
+
+    written = _vec(2000, placed, form)
+    assert len(calls) <= 4
+    assert list(written) == [json.dumps(str(e)) for e in _materialize(2000, placed)]
 
 
 @st.composite
