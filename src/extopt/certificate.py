@@ -4,8 +4,10 @@
 {u >= 0, sum u <= w}, or returns the duo construction as a strictly better
 rational point.  A right-endpoint greedy at the μ fixed by the chord
 between the equidistant optima decides; no flow network is built.
-`check_certificate` checks a certificate from the vector alone.  Every
-step is in exact integers or rationals; nothing here uses floats.
+`check_certificate` checks a certificate from the vector alone: `_check`
+rebuilds α from the vector's prefix sums (`model._prefix`), which `verify`
+builds once from the solve's placement for the greedy and the checker.
+Every step is in exact integers or rationals; nothing here uses floats.
 """
 
 from __future__ import annotations
@@ -65,9 +67,7 @@ def _coverage(n: int, blocks: Iterable[tuple[int, int, int, int]]) -> tuple[int,
     return count, list(itertools.accumulate(itertools.accumulate(diff[:n])))
 
 
-def _greedy_certificate(
-    inst: Instance, vals: list[int], prefix: list[int], xs: int
-) -> DualCertificate | None:
+def _greedy_certificate(inst: Instance, prefix: list[int], xs: int) -> DualCertificate | None:
     """The certificate at μ* = P(m) - P(m+1), where P(k) is Σ g(g-1)/2
     over the k+1 near-equal parts g of n+1: the slope, per unit of x, of
     the chord between the equidistant optima at budgets m·x and (m+1)·x.
@@ -79,8 +79,8 @@ def _greedy_certificate(
     by start, descending, each kept while every coordinate it covers is
     below μ.  This packs the most intervals under the cap (Carlisle-Lloyd;
     interval matrices are greedy matrices, Hoffman-Kolen-Sakarovitch).
-    The result certifies v exactly when every mass coordinate ends at
-    coverage μ.
+    The result certifies v exactly when every mass coordinate, one where
+    the prefix sums ``prefix`` of v step up, ends at coverage μ.
     """
     n = inst.n
     mu = (_twice_h(inst.m + 1, n + 1) - _twice_h(inst.m + 2, n + 1)) // 2
@@ -117,7 +117,7 @@ def _greedy_certificate(
             for i in range(1, taken):
                 cover[khi - i] += taken - i
             runs.append((k + 1, khi, e))
-    if any(c != mu for c, val in zip(cover, vals) if val):
+    if any(c != mu for c, lo, hi in zip(cover, prefix, prefix[1:]) if lo != hi):
         return None
     return DualCertificate(
         mu=mu,
@@ -152,11 +152,10 @@ def dual_certificate(v: Iterable, inst: Instance) -> DualCertificate | tuple[Fra
     Its objective is checked against f(v) in exact arithmetic; a
     construction that is not strictly better raises ConstructionError.
     """
-    vec, vals, xs, denom = _scaled(v, inst.x)
-    prefix = list(itertools.accumulate(vals, initial=0))
+    vec, prefix, xs, denom = _scaled(v, inst.x)
     if not _on_budget(prefix, denom, inst):
         raise ValidationError(f"v must have {inst.n} entries summing to w = {inst.w}")
-    cert = _greedy_certificate(inst, vals, prefix, xs)
+    cert = _greedy_certificate(inst, prefix, xs)
     if cert is not None:
         return cert
     construction = solve_continuous(inst)
@@ -176,17 +175,22 @@ def check_certificate(v: Iterable, inst: Instance, cert: DualCertificate) -> Fra
     runs of ``cert``, which must be tight and must not overlap.  So the
     answer does not depend on how the certificate was found.
     """
-    vec, vals, xs, denom = _scaled(v, inst.x)
-    prefix = list(itertools.accumulate(vals, initial=0))
-    n = len(vec)
+    vec, prefix, xs, denom = _scaled(v, inst.x)
+    return _check(inst, prefix, xs, denom, cert, eval_f(vec, inst.x))
+
+
+def _check(inst: Instance, prefix: list[int], xs: int, denom: int,
+           cert: DualCertificate, f: Fraction) -> Fraction | None:
+    """`check_certificate` from the vector's `_prefix` and its objective f."""
     runs = sorted(cert.runs, key=lambda run: (run[2], run[0]))
     # the prefix sums never decrease, so equal sums at lo and hi make every
     # start of the run tight
     if (not _on_budget(prefix, denom, inst) or cert.mu < 0
-            or any(not 0 <= lo <= hi < e <= n or prefix[lo] != prefix[hi]
+            or any(not 0 <= lo <= hi < e <= inst.n or prefix[lo] != prefix[hi]
                    or prefix[e] - prefix[lo] != xs for lo, hi, e in runs)
             or any(e == e2 and lo2 <= hi for (_, hi, e), (lo2, _, e2) in zip(runs, runs[1:]))):
         return None
-    count, cover = _coverage(n, _unsaturated(prefix, xs) + [(lo, hi, e, e) for lo, hi, e in runs])
+    blocks = _unsaturated(prefix, xs) + [(lo, hi, e, e) for lo, hi, e in runs]
+    count, cover = _coverage(inst.n, blocks)
     bound = inst.x * count - cert.mu * inst.w
-    return bound if max(cover) <= cert.mu and bound == eval_f(vec, inst.x) else None
+    return bound if max(cover) <= cert.mu and bound == f else None

@@ -128,11 +128,12 @@ def _solve_result(report: SolveReport) -> dict[str, Any]:
 # The JSON text of a scalar by its exact type: the text `json.dumps` writes,
 # and for a Fraction its exact "p/q" string, whose digits, "-" and "/" need
 # no escape.  `JSONEncoder.encode` builds a new C encoder for every value
-# that is not a str, so only a float (that nan and ±inf keep its spelling)
-# or a value of another type (an IntEnum member, say) goes to it.
+# that is not a str, so only nan and ±inf (to keep the encoder's spelling)
+# or a value of another type (an IntEnum member, say) go to it.
 _SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
     str: json.encoder.encode_basestring_ascii,
     int: int.__repr__,
+    float: lambda f: float.__repr__(f) if math.isfinite(f) else _encode(f),
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): lambda _: "null",
     Fraction: '"%s"'.__mod__,

@@ -152,17 +152,10 @@ def _positive(x: RationalLike) -> Fraction:
     return xq
 
 
-def _scaled(
-    v: Iterable[RationalLike], x: RationalLike
-) -> tuple[ServiceVector, list[int], int, int]:
-    """Validate (v, x) and scale both to integers over one common denominator.
-
-    Returns the validated vector, its scaled entries, the scaled x and the
-    denominator, so every interval sum is an exact integer.
-    """
+def _scaled(v: Iterable[RationalLike], x: RationalLike) -> tuple[ServiceVector, list[int], int, int]:
+    """The validated v and the `_prefix` of its placement: (v, prefix, x, denom)."""
     vec = service_vector(v)
-    denom, (xs, *vals) = _common(_positive(x), *vec)
-    return vec, vals, xs, denom
+    return (vec, *_prefix(len(vec), _placement(vec), _positive(x)))
 
 
 def _widths(n: int, at: Sequence[int]) -> list[int]:
@@ -240,6 +233,15 @@ def _scaled_placement(
     return masses, _widths(n, at), xs, denom
 
 
+def _prefix(n: int, placed: Placement, x: Fraction) -> tuple[list[int], int, int]:
+    """(prefix, x, denom): the n + 1 prefix sums of the length-n vector whose
+    nonzero entries are ``placed``, and x, as integers over one denominator."""
+    masses, widths, xs, denom = _scaled_placement(n, placed, x)
+    # run j of `_widths` repeats the sum of the first j masses
+    sums = itertools.accumulate(masses, initial=0)
+    return list(itertools.chain.from_iterable(map(itertools.repeat, sums, widths))), xs, denom
+
+
 def _eval_placed(n: int, placed: Placement, x: Fraction) -> Fraction:
     """`eval_f` of the length-n vector whose nonzero entries are ``placed``,
     ascending (index, positive Fraction) pairs, for a positive Fraction x."""
@@ -258,10 +260,9 @@ def eval_f(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
 
 def eval_f_row(v: Iterable[RationalLike], x: RationalLike, j: int) -> Fraction:
     """Shortfall restricted to the n+1-j intervals of exactly j consecutive indices."""
-    _, vals, xs, denom = _scaled(v, x)
-    n = len(vals)
+    _, prefix, xs, denom = _scaled(v, x)
+    n = len(prefix) - 1
     _integer("row length j", j, 1, n)
-    prefix = list(itertools.accumulate(vals, initial=0))
     total = sum(max(xs - (prefix[k + j] - prefix[k]), 0) for k in range(n + 1 - j))
     return Fraction(total, denom)
 

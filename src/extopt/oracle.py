@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .certificate import DualCertificate, check_certificate, dual_certificate
+from .certificate import DualCertificate, _check, _greedy_certificate
 from .continuous import solve_continuous
 from .errors import ConstructionError, SizeCapError, ValidationError
-from .model import Instance, _common, _integer, _runs, _scaled, _shortfall
+from .model import Instance, _common, _integer, _prefix, _runs, _scaled, _shortfall
 from .model import eval_f  # noqa: F401  perfbench/tracing.py wraps it under this module
 from .report import CONFIRMED, SolveReport
 
@@ -202,8 +202,7 @@ def subgradient(v: Iterable, x) -> tuple[Fraction, ...]:
     exactly saturated intervals contribute the midpoint -1/2 of their
     subdifferential range.
     """
-    _, vals, xs, _ = _scaled(v, x)
-    prefix = list(itertools.accumulate(vals, initial=0))
+    _, prefix, xs, _ = _scaled(v, x)
     n = len(prefix) - 1
     # weights doubled to stay integral: 2 per unsaturated, 1 per saturated interval
     diff = [0] * (n + 1)
@@ -434,16 +433,16 @@ def duo_lattice_resolution(inst: Instance) -> int:
 def verify_conjecture(inst: Instance) -> VerifyReport:
     """Prove the duo construction optimal in exact arithmetic.
 
-    `dual_certificate` finds the certificate and `check_certificate` checks
-    it.  The construction attains the minimum on every instance, so a
-    missing or rejected certificate is a failed self-check and raises
-    ConstructionError.
+    The greedy of `dual_certificate` finds the certificate and the checker
+    of `check_certificate` checks it, both on the one `_prefix` of the
+    solve's placement, against the objective the solve scored.  The
+    construction attains the minimum on every instance, so a missing or
+    rejected certificate is a failed self-check and raises ConstructionError.
     """
     report = solve_continuous(inst)
-    found = dual_certificate(report.vector, inst)
-    bound = None
-    if isinstance(found, DualCertificate):
-        bound = check_certificate(report.vector, inst, found)
+    prefix, xs, denom = _prefix(inst.n, report.placed, inst.x)
+    cert = _greedy_certificate(inst, prefix, xs)
+    bound = None if cert is None else _check(inst, prefix, xs, denom, cert, report.objective)
     if bound is None:
         raise ConstructionError(f"the exact checker did not certify the construction at {inst}")
     return VerifyReport(
@@ -451,5 +450,5 @@ def verify_conjecture(inst: Instance) -> VerifyReport:
         construction=report,
         status=CONFIRMED,
         oracle_value=bound,
-        certificate=found,
+        certificate=cert,
     )

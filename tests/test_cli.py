@@ -121,7 +121,8 @@ class TestVerify:
         assert "ConstructionError" in err
 
     def test_failed_self_check_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr("extopt.oracle.check_certificate", lambda v, inst, cert: None)
+        # the checker that verify calls on the prefix sums of the solve's placement
+        monkeypatch.setattr("extopt.oracle._check", lambda *args: None)
         code, out, err = run_cli(capsys, "verify", "-n", "7", "-x", "1", "-w", "2.2")
         assert code == 1 and out == ""
         assert "ConstructionError" in err

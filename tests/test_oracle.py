@@ -1,5 +1,6 @@
 """Brute-force, lattice, and subgradient oracles plus the verify harness."""
 
+import itertools
 import json
 import math
 import random
@@ -27,7 +28,7 @@ from extopt import (
     verify_conjecture,
 )
 from extopt.combinatorial import near_equidistant_parts
-from extopt.model import as_rational
+from extopt.model import _prefix, as_rational
 from extopt.certificate import DualCertificate, check_certificate, dual_certificate
 from extopt.cli import main
 from extopt.oracle import (
@@ -491,8 +492,10 @@ class TestGreedyCertificate:
         assert len(chosen) == block["alpha_one_intervals"] - block["unsaturated_intervals"]
 
     def test_without_the_greedy_only_a_beaten_vector_gets_a_point(self, monkeypatch):
+        # verify calls the greedy by its own name, dual_certificate by the module's
+        monkeypatch.setattr("extopt.oracle._greedy_certificate", lambda *args: None)
         monkeypatch.setattr("extopt.certificate._greedy_certificate", lambda *args: None)
-        # the construction does not beat itself: a failed self-check
+        # no certificate for the construction: a failed self-check
         with pytest.raises(ConstructionError):
             verify_conjecture(inst(9, 1, "2.5"))
         i = inst(7, 1, "2.2")
@@ -538,9 +541,36 @@ class TestVerifyDecision:
             verify_conjecture(inst(7, 1, "2.2"))
 
     def test_rejected_certificate_fails_the_self_check(self, monkeypatch):
-        monkeypatch.setattr("extopt.oracle.check_certificate", lambda v, inst, cert: None)
+        # the checker that verify calls on the prefix sums of the solve's placement
+        monkeypatch.setattr("extopt.oracle._check", lambda *args: None)
         with pytest.raises(ConstructionError):
             verify_conjecture(inst(7, 1, "2.2"))
+
+    def test_does_its_per_vector_work_once(self, capsys, monkeypatch):
+        # the solve scores its placement, and verify hands that placement's
+        # one prefix to the greedy and the checker: no n-vector, no second
+        # validation and no second score
+        cases = [inst(n, x, w) for n, x, w in itertools.islice(twelfths_grid(), 0, None, 97)]
+        cases.append(inst(1000, 1, "5/2"))
+        argvs = [["verify", "-n", str(i.n), "-x", str(i.x), "-w", str(i.w)] for i in cases]
+        expected = []
+        for argv in argvs:
+            assert main(argv) == 0
+            expected.append(capsys.readouterr().out)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("verify repeated its per-vector work")
+
+        monkeypatch.setattr("extopt.report._materialize", refused)
+        monkeypatch.setattr("extopt.model.service_vector", refused)
+        monkeypatch.setattr("extopt.certificate.eval_f", refused)
+        calls = []
+        monkeypatch.setattr("extopt.oracle._prefix", lambda *args: calls.append(args) or _prefix(*args))
+        for i, argv, out in zip(cases, argvs, expected):
+            assert verify_conjecture(i).status == CONFIRMED
+            assert main(argv) == 0
+            assert capsys.readouterr() == (out, "")
+        assert len(calls) == 2 * len(cases)
 
     def test_reference_oracles_respect_the_certified_bound(self):
         i = inst(5, 1, F(17, 12))

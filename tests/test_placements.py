@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import contextlib
 import io
+import itertools
 import json
+import math
 
 from extopt import ConstructionError, Instance, eval_f, solve_combinatorial, solve_continuous
 from extopt.cli import main
 from extopt.combinatorial import _gamma_placed, build_gamma_member
 from extopt.continuous import build_duo
-from extopt.model import _materialize, as_rational
+from extopt.model import _materialize, _prefix, as_rational
 from helpers import duo_layers, naive_f, twelfths_grid
 
 F = Fraction
@@ -106,3 +108,35 @@ class TestLazyVector:
                 assert code == 0
                 vector = json.loads(out.getvalue())["result"]["vector"]
                 assert len(vector) == 10000 and sum(map(F, vector)) == F(w)
+
+
+def scaled_prefix(vector, x):
+    """(prefix, x, denom) of a dense vector: its entries and x over their
+    least common denominator, the entries accumulated."""
+    denom = math.lcm(x.denominator, *(e.denominator for e in vector))
+    scaled = (int(e * denom) for e in vector)
+    return list(itertools.accumulate(scaled, initial=0)), int(x * denom), denom
+
+
+class TestPrefix:
+    def test_matches_the_accumulated_scaled_vector(self):
+        for n, x, w in twelfths_grid():
+            i = Instance(n, x, w)
+            for solve in (solve_continuous, solve_combinatorial):
+                report = solve(i)
+                assert _prefix(n, report.placed, x) == scaled_prefix(report.vector, x)
+
+    def test_edge_placements(self):
+        third = F(1, 3)
+        cases = [
+            (5, [], F(3, 7)),  # no mass: n + 1 zeros
+            (1, [(0, F(5, 2))], F(1)),
+            (4, [(0, F(1, 2)), (3, third)], F(1)),  # masses at 0 and n - 1
+            (6, [(1, third), (2, third), (5, third)], F(2, 5)),  # one object repeated
+        ]
+        for n, placed, x in cases:
+            assert _prefix(n, placed, x) == scaled_prefix(_materialize(n, placed), x)
+        assert _prefix(5, [], F(3, 7)) == ([0] * 6, 3, 7)
+        assert _prefix(4, [(0, F(1, 2)), (3, third)], F(1)) == ([0, 3, 3, 3, 5], 6, 6)
+        assert _prefix(6, [(1, third), (2, third), (5, third)], F(2, 5)) == (
+            [0, 0, 5, 10, 10, 10, 15], 6, 15)

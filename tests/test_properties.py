@@ -309,7 +309,8 @@ def _plain(value):
 
 
 def test_writer_runs_no_encoder_for_lone_str_int_bool_or_none(monkeypatch):
-    # nor for a Fraction, alone, as a dict value, in a flat list or in a vector
+    # nor for a Fraction, alone, as a dict value, in a flat list or in a
+    # vector, nor for a finite float, alone or in a vector of floats
     yr = F(2, 3) + F(1, 3)
     placed = [(1, yr), (3, F(-1, 3)), (4, yr), (6, F(2**70 + 1, 2**65))]
     payload = {"s": "é\n", "i": -(2**64), "b": True, "n": None,
@@ -318,6 +319,9 @@ def test_writer_runs_no_encoder_for_lone_str_int_bool_or_none(monkeypatch):
                "objective": F(-33, 5), "whole": F(3), "queue": {"lambda": F(1, 2)}}
     expected = json.dumps(_plain(payload), indent=2)
     vector = json.dumps({"vector": [str(e) for e in _materialize(7, placed)]}, indent=2)
+    floats = json.dumps({"minimizer": [float(e) for e in _materialize(7, placed)]}, indent=2)
+    lone = [0.1, -0.0, 1e300, 5e-324]
+    lone_text = json.dumps(lone, indent=2)
 
     def refused(*args, **kwargs):
         raise AssertionError("the encoder ran")
@@ -327,6 +331,9 @@ def test_writer_runs_no_encoder_for_lone_str_int_bool_or_none(monkeypatch):
     assert _dumps(F(5, 2)) == '"5/2"'
     assert _dumps(F(-7)) == '"-7"'
     assert _dumps({"vector": _vec(7, placed)}) == vector
+    assert _dumps({"minimizer": _vec(7, placed, float)}) == floats
+    assert _dumps(lone) == lone_text
+    assert _dumps(-2.5) == "-2.5"
 
 
 @DERANDOMIZED
