@@ -21,7 +21,7 @@ from typing import Iterable
 from .combinatorial import _twice_h
 from .continuous import solve_continuous
 from .errors import ConstructionError, ValidationError
-from .model import Instance, _scaled, eval_f
+from .model import Instance, _eval_placed, _scaled
 
 
 @dataclass(frozen=True)
@@ -152,14 +152,14 @@ def dual_certificate(v: Iterable, inst: Instance) -> DualCertificate | tuple[Fra
     Its objective is checked against f(v) in exact arithmetic; a
     construction that is not strictly better raises ConstructionError.
     """
-    vec, prefix, xs, denom = _scaled(v, inst.x)
+    placed, prefix, xs, denom = _scaled(v, inst.x)
     if not _on_budget(prefix, denom, inst):
         raise ValidationError(f"v must have {inst.n} entries summing to w = {inst.w}")
     cert = _greedy_certificate(inst, prefix, xs)
     if cert is not None:
         return cert
     construction = solve_continuous(inst)
-    if not construction.objective < eval_f(vec, inst.x):
+    if not construction.objective < _eval_placed(inst.n, placed, inst.x):
         raise ConstructionError(
             f"no dual certificate for a vector the construction does not beat at {inst}"
         )
@@ -175,8 +175,8 @@ def check_certificate(v: Iterable, inst: Instance, cert: DualCertificate) -> Fra
     runs of ``cert``, which must be tight and must not overlap.  So the
     answer does not depend on how the certificate was found.
     """
-    vec, prefix, xs, denom = _scaled(v, inst.x)
-    return _check(inst, prefix, xs, denom, cert, eval_f(vec, inst.x))
+    placed, prefix, xs, denom = _scaled(v, inst.x)
+    return _check(inst, prefix, xs, denom, cert, _eval_placed(len(prefix) - 1, placed, inst.x))
 
 
 def _check(inst: Instance, prefix: list[int], xs: int, denom: int,

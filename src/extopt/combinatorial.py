@@ -71,6 +71,16 @@ def near_equidistant_parts(a: int, b: int) -> tuple[int, ...]:
     return (q,) * (a - s) + (q + 1,) * s
 
 
+def _part_ends(a: int, b: int, start: int) -> tuple[range, range]:
+    """start plus each running sum of the first a - 1 parts of
+    ``near_equidistant_parts(a, b)``: the ends of the short parts, then
+    those of the long ones, each an arithmetic range."""
+    q, s = divmod(b, a)
+    t = min(a - 1, a - s)  # inner ends of short parts
+    top = start + t * q
+    return range(start + q, top + 1, q), range(top + q + 1, top + (a - 1 - t) * (q + 1) + 1, q + 1)
+
+
 def h(a: int, b: int) -> Fraction:
     """Half the sum of part*(part-1) over a near-equal split of b into a parts.
 
@@ -208,28 +218,33 @@ def delta_search(inst: Instance) -> DeltaCertificate:
 
 
 def _gamma_placed(inst: Instance, delta: int) -> Placement:
-    """The placement (ascending nonzero entries) of `build_gamma_member`."""
+    """The `Placement` of `build_gamma_member`: values (r, x) when r > 0,
+    else (x,), the leftover first and then the m x-masses."""
     n, m, x, r = inst.n, inst.m, inst.x, inst.r
     _integer("delta", delta, 1)
     if m == 0:
         if delta != n + 1:
             raise ConstructionError(f"with w < x the only valid widest gap is {n + 1}")
-        return [((n - 1) // 2, r)]  # the smallest middle point of the n slots
+        return ((n - 1) // 2,), (r,), (0,)  # the smallest middle point of the n slots
     if delta > n + 1 - m:
         raise ConstructionError(f"delta = {delta} leaves no room for {m} masses on {n} slots")
-    rest = near_equidistant_parts(m, n + 1 - delta)
-    if rest[-1] > delta:
+    q, s = divmod(n + 1 - delta, m)  # the m gaps besides the widest, near-equal
+    if q + (s > 0) > delta:
         raise ConstructionError(
-            f"delta = {delta} is smaller than the near-equal remainder gaps {rest}"
+            f"delta = {delta} is smaller than the near-equal remainder gaps "
+            f"{near_equidistant_parts(m, n + 1 - delta)}"
         )
     if r > 0 and delta < 2:
         raise ConstructionError("the widest stretch has no slot for the leftover mass")
+    # the x-masses end the first m gaps: 0-based, at delta - 1 plus the
+    # running sums of the remainder gaps
+    short, long = _part_ends(m, n + 1 - delta, delta - 1)
+    xs_at = (delta - 1, *short, *long)
+    if r == 0:
+        return xs_at, (x,), (0,) * m
     # the leftover sits at the smallest middle point of the leading widest
     # stretch, slots 1..delta-1, before every x
-    placed = [((delta - 2) // 2, r)] if r > 0 else []
-    # the x-masses end the first m gaps: 0-based, at delta - 1 plus rest's partial sums
-    placed.extend(zip(itertools.accumulate(rest[:m - 1], initial=delta - 1), itertools.repeat(x)))
-    return placed
+    return ((delta - 2) // 2, *xs_at), (r, x), (0,) + (1,) * m
 
 
 def build_gamma_member(inst: Instance, delta: int) -> tuple[Fraction, ...]:
@@ -275,11 +290,17 @@ def _gamma_placements(inst: Instance, delta: int, cap: int) -> list[Placement]:
                 seen.update((positions, j) for j in _stretch_middles(lo, hi))
             else:
                 seen.add((positions, 0))
-    # distinct (positions, j) keys give distinct vectors, as 0 < r < x
-    placements = (
-        [(pos - 1, x) for pos in positions] + ([(j - 1, r)] if j else [])
-        for positions, j in seen
-    )
+    # distinct (positions, j) keys give distinct vectors, as 0 < r < x; the
+    # leftover's slot j - 1 lies strictly between two x-masses' slots
+    placements = []
+    for positions, j in seen:
+        at = [pos - 1 for pos in positions]
+        if not j:
+            placements.append((tuple(at), (x,), (0,) * m))
+            continue
+        k = bisect.bisect(at, j - 1)
+        at.insert(k, j - 1)
+        placements.append((tuple(at), (r, x), (1,) * k + (0,) + (1,) * (m - k)))
     return sorted(placements, key=functools.partial(_materialize, n))
 
 
@@ -308,7 +329,7 @@ def solve_combinatorial(inst: Instance) -> SolveReport:
         cert = delta_search(inst)
         delta_star = cert.delta_star
         expected = a_value(inst, delta_star)
-    placed = tuple(_gamma_placed(inst, delta_star))
+    placed = _gamma_placed(inst, delta_star)
     return SolveReport(
         instance=inst,
         placed=placed,

@@ -6,10 +6,10 @@ near-equidistant layers added together: m masses of y = x - r and m+1
 masses of r.  With t = r/x this is (1 - t)*E_m + t*E_{m+1}, E_k the
 equidistant optimum at budget k*x, and it attains the chord between their
 values, which is the minimum (the theorem in README "Oracles").  The duo
-is built as its placement, the nonzero entries alone, and every solve
-checks its objective against that chord (``minimum``).  Reports carry
-the paper's PROVEN/CONJECTURED status: PROVEN when r = 0 or where the two
-layers share a gap bound.
+is built as its `model.Placement`, the nonzero entries alone, in O(m)
+whatever n, and every solve checks its objective against that chord
+(``minimum``).  Reports carry the paper's PROVEN/CONJECTURED status:
+PROVEN when r = 0 or where the two layers share a gap bound.
 
 ``tau``, ``TauPair`` and ``minimum`` are defined in `extopt.combinatorial`
 and re-exported here.
@@ -20,11 +20,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .combinatorial import _gamma_placed, _scored, minimum, near_equidistant_parts, tau
+from .combinatorial import (
+    _gamma_placed, _part_ends, _scored, minimum, near_equidistant_parts, tau,
+)
 from .combinatorial import TauPair  # noqa: F401  re-exported as extopt.continuous.TauPair
 from .combinatorial import build_gamma_member  # noqa: F401  wrapped here by perfbench/tracing.py
 from .errors import ConstructionError, ValidationError
-from .model import Instance, _integer
+from .model import Instance, Placement, _integer
 from .model import eval_f  # noqa: F401  wrapped here by perfbench/tracing.py
 from .report import CONJECTURED, PROVEN, SolveReport
 
@@ -68,37 +70,80 @@ def satisfies_interleaving(gaps_y: tuple[int, ...], gaps_r: tuple[int, ...]) -> 
     return True
 
 
-def build_duo(inst: Instance) -> tuple[tuple[int, Fraction], ...]:
-    """The two canonical layers added together, as ascending (index, value)
-    pairs: m masses of y at the prefix sums of the y-layer profile and m+1
-    masses of r at those of the r-layer profile (``canonical_gap_profiles``).
-    A slot in both layers holds y + r = x, still within bounds.  The sum is
-    (1 - t)*E_m + t*E_{m+1} with t = r/x, where E_k is the equidistant
-    optimum at budget k*x, so it lies on the chord ``minimum`` whether or
-    not the layers interleave.
+def build_duo(inst: Instance) -> Placement:
+    """The two canonical layers added together, as a `Placement` with values
+    (y, r, y + r): m masses of y at the prefix sums of the y-layer profile
+    and m+1 masses of r at those of the r-layer profile
+    (``canonical_gap_profiles``).  A slot in both layers holds y + r = x,
+    still within bounds.  The sum is (1 - t)*E_m + t*E_{m+1} with t = r/x,
+    where E_k is the equidistant optimum at budget k*x, so it lies on the
+    chord ``minimum`` whether or not the layers interleave strictly.
+
+    The layers interleave weakly: y slot i lies between r slots i and i+1
+    (the i smallest of m+2 near-equal parts sum to no more than the i
+    smallest of m+1, and the largest likewise).  So the slots r_0, y_0,
+    r_1, ..., y_{m-1}, r_m ascend, and a shared slot is two equal
+    neighbours.  Both gaps y_i - r_i and r_{i+1} - y_i are nonnegative and
+    piecewise linear in i, so their zeros are found at the few points where
+    the layers' steps change (`_shared_runs`), and the placement is merged in
+    O(m), whatever n.
     """
     n, m, x = inst.n, inst.m, inst.x
     r, y = inst.r, inst.y
     if r == 0:
         raise ValidationError("no leftover mass; use solve_continuous_integer")
-    gaps_y, gaps_r = canonical_gap_profiles(n, m)
-    y_at = tuple(itertools.accumulate(gaps_y[:m]))
-    r_at = tuple(itertools.accumulate(gaps_r[: m + 1]))
-    both = set(y_at).intersection(r_at)
-    yr = y + r
-    placed = tuple(sorted(
-        [(pos - 1, y) for pos in y_at if pos not in both]
-        + [(pos - 1, yr if pos in both else r) for pos in r_at]
-    ))
-    # the checks need only the three slot values and how many slots hold
-    # each, counted by position: y == r when r = x/2
-    slots = ((y, m - len(both)), (r, m + 1 - len(both)), (yr, len(both)))
-    if any(value > x for value, count in slots if count):
-        above = [idx for idx, value in placed if value > x]
+    # 0-based slots, the running sums of each layer's parts less one, in
+    # the order r_0, y_0, r_1, ..., y_{m-1}, r_m
+    y_short, y_long = _part_ends(m + 1, n + 1, -1)
+    r_short, r_long = _part_ends(m + 2, n + 1, -1)
+    slots = [0] * (2 * m + 1)
+    slots[::2] = [*r_short, *r_long]
+    slots[1::2] = [*y_short, *y_long]
+    # each slot's code into (y, r, y + r), or 3 for a slot that is the one before it
+    kinds = bytearray(b"\1\0" * m + b"\1")
+    # slot 2i + offset against the next: y_i - r_i (offset 0) and
+    # r_{i+1} - y_i (offset 1) change slope only where y_i, r_i or r_{i+1}
+    # changes step, after the last short part of its layer
+    y_bend, r_bend = len(y_short) - 1, len(r_short) - 1
+    nodes = sorted(i for i in {0, m - 1, y_bend, r_bend, r_bend - 1} if 0 <= i < m)
+    for offset in (0, 1):
+        for a, b in _shared_runs(slots, offset, nodes):
+            kinds[2 * a + offset:2 * b + offset + 1:2] = b"\2" * (b - a + 1)
+            kinds[2 * a + offset + 1:2 * b + offset + 2:2] = b"\3" * (b - a + 1)
+    both = kinds.count(3)
+    values = (y, r, y + r)
+    placed = (tuple(itertools.compress(slots, kinds.translate(_KEPT))), values,
+              tuple(kinds.translate(None, b"\3")))
+    # the checks need only the three slot values and how many slots hold each
+    counts = (m - both, m + 1 - both, both)
+    if any(value > x for value, count in zip(values, counts) if count):
+        above = [i for i, code in zip(placed[0], placed[2]) if values[code] > x]
         raise ConstructionError(f"layer overlap pushed the entries at slots {above} above x")
-    if sum(value * count for value, count in slots) != inst.w:
+    if sum(value * count for value, count in zip(values, counts)) != inst.w:
         raise ConstructionError("combined layers do not use the whole budget")
     return placed
+
+
+# selects the slots whose kind (in `build_duo`) is not 3
+_KEPT = bytes([1, 1, 1, 0]) + bytes(252)
+
+
+def _shared_runs(slots: list[int], offset: int, nodes: list[int]) -> list[tuple[int, int]]:
+    """The runs (a, b) of ascending ``nodes`` such that slot 2i + offset
+    equals the next slot for every i from node a through node b.  The gap
+    between the two is nonnegative and linear in i between neighbouring
+    nodes, so it vanishes on a whole piece when it vanishes at both ends,
+    and otherwise at most at an end."""
+    runs: list[tuple[int, int]] = []
+    previous = None
+    for k in nodes:
+        if slots[2 * k + offset] == slots[2 * k + offset + 1]:
+            if runs and runs[-1][1] == previous:
+                runs[-1] = (runs[-1][0], k)
+            else:
+                runs.append((k, k))
+        previous = k
+    return runs
 
 
 def solve_continuous(inst: Instance) -> SolveReport:
@@ -112,7 +157,7 @@ def solve_continuous(inst: Instance) -> SolveReport:
     t1 = tau(inst.n, inst.m)
     t2 = tau(inst.n, inst.m + 1)
     exact = inst.r == 0
-    placed = tuple(_gamma_placed(inst, t1.tau_u)) if exact else build_duo(inst)
+    placed = _gamma_placed(inst, t1.tau_u) if exact else build_duo(inst)
     return SolveReport(
         instance=inst,
         placed=placed,

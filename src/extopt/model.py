@@ -4,6 +4,14 @@ Everything here is exact: service vectors are tuples of ``Fraction`` and the
 objective is evaluated with big-integer rational arithmetic.  Binary floats
 are refused on input so that decimal data like "2.2" never picks up rounding
 noise (floats belong to the numerical oracle only).
+
+A solution travels from the solver to the JSON writer as a `Placement`, the
+nonzero entries of its length-n vector in column form ``(at, values, codes)``:
+``at`` holds the ascending indices of the masses, ``values`` the few value
+objects they take (x, r, y, y + r, ...) and ``codes`` one small int per mass,
+so that mass j is ``values[codes[j]]``.  A consumer does its per-value work
+(scaling, formatting) once per entry of ``values`` and reads the masses
+through ``codes``, with no per-mass tuple, ``id()`` or dict lookup.
 """
 
 from __future__ import annotations
@@ -19,10 +27,9 @@ from .errors import StabilityError, TrivialRegimeError, ValidationError
 
 RationalLike = Union[Fraction, int, str]
 
-ServiceVector = tuple[Fraction, ...]
-
-# the nonzero entries of a vector as ascending (index, positive Fraction) pairs
-Placement = Sequence[tuple[int, Fraction]]
+# the nonzero entries of a length-n vector as (at, values, codes): mass j sits
+# at index at[j], ascending, and is values[codes[j]], a positive Fraction
+Placement = tuple[Sequence[int], Sequence[Fraction], Sequence[int]]
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -39,21 +46,28 @@ def as_rational(value: RationalLike) -> Fraction:
         raise ValidationError(f"not a rational number: {value!r}") from exc
 
 
-def service_vector(entries: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """Validate and normalize a candidate solution vector."""
-    items = tuple(entries)
+def _entries(items: tuple) -> tuple[list[int], dict[int, Fraction], bool]:
+    """(ids, values, same) of a candidate vector's entries: the id of each
+    entry, each distinct entry object's validated Fraction keyed by its id,
+    and whether every entry already is that Fraction."""
     # a vector repeats a few entry objects (0, x, r, ...): convert and check
     # each object once.  Keyed by id, which hashes far faster than a
     # Fraction; ids stay unique while `items` holds the objects
-    distinct = dict(zip(map(id, items), items))
+    ids = list(map(id, items))
+    distinct = dict(zip(ids, items))
     values = {key: as_rational(e) for key, e in distinct.items()}
     if not values:
         raise ValidationError("service vector must have at least one entry")
     if any(e.numerator < 0 for e in values.values()):
         raise ValidationError("service vector entries must be nonnegative")
-    if all(map(operator.is_, values.values(), distinct.values())):
-        return items  # every entry is already a Fraction
-    return tuple(map(values.__getitem__, map(id, items)))
+    return ids, values, all(map(operator.is_, values.values(), distinct.values()))
+
+
+def service_vector(entries: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    """Validate and normalize a candidate solution vector."""
+    items = tuple(entries)
+    ids, values, same = _entries(items)
+    return items if same else tuple(map(values.__getitem__, ids))
 
 
 @dataclass(frozen=True)
@@ -152,10 +166,11 @@ def _positive(x: RationalLike) -> Fraction:
     return xq
 
 
-def _scaled(v: Iterable[RationalLike], x: RationalLike) -> tuple[ServiceVector, list[int], int, int]:
-    """The validated v and the `_prefix` of its placement: (v, prefix, x, denom)."""
-    vec = service_vector(v)
-    return (vec, *_prefix(len(vec), _placement(vec), _positive(x)))
+def _scaled(v: Iterable[RationalLike], x: RationalLike) -> tuple[Placement, list[int], int, int]:
+    """The `_placement` of the validated v and its `_prefix`: (placed, prefix, x, denom)."""
+    vec = tuple(v)
+    placed = _placement(vec)
+    return (placed, *_prefix(len(vec), placed, _positive(x)))
 
 
 def _widths(n: int, at: Sequence[int]) -> list[int]:
@@ -201,16 +216,23 @@ def _shortfall(masses: Sequence[int], widths: Sequence[int], x: int) -> int:
 
 def _materialize(n: int, placed: Placement) -> tuple[Fraction, ...]:
     """The length-n vector whose nonzero entries are ``placed``."""
+    at, values, codes = placed
     entries = [Fraction(0)] * n
-    for i, e in placed:
-        entries[i] = e
+    for i, code in zip(at, codes):
+        entries[i] = values[code]
     return tuple(entries)
 
 
-def _placement(vec: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
-    """The nonzero entries of a validated vector as a `Placement`."""
-    # testing the numerator is cheaper than Fraction.__bool__
-    return [(i, e) for i, e in enumerate(vec) if e.numerator]
+def _placement(vec: Sequence[RationalLike]) -> Placement:
+    """The `Placement` of the candidate vector ``vec``, validated as by
+    `service_vector`: its values are the distinct nonzero entry objects, each
+    tested for zero once."""
+    ids, values, _ = _entries(tuple(vec))
+    nonzero = {key: e for key, e in values.items() if e}
+    coded = list(map(dict(zip(nonzero, range(len(nonzero)))).get, ids))
+    held = list(map(operator.is_not, coded, itertools.repeat(None)))
+    return (tuple(itertools.compress(range(len(coded)), held)), tuple(nonzero.values()),
+            tuple(itertools.compress(coded, held)))
 
 
 def _scaled_placement(
@@ -219,18 +241,12 @@ def _scaled_placement(
     """The masses of ``placed`` and x as integers over one common denominator,
     with the run widths of the length-n vector: (masses, widths, x, denom).
 
-    Each distinct value object is scaled once, as a placement repeats a few
-    (x, r, ...); the per-mass passes run at C speed, and the cost is
-    O(masses), whatever n.
+    Each entry of ``values`` is scaled once and the masses are read through
+    ``codes``; the cost is O(masses), whatever n.
     """
-    # keyed by id, as in `service_vector`
-    ids = list(map(id, map(operator.itemgetter(1), placed)))
-    distinct = dict(zip(ids, map(operator.itemgetter(1), placed)))
-    denom, (xs, *nums) = _common(x, *distinct.values())
-    scaled = dict(zip(distinct, nums))
-    masses = list(map(scaled.__getitem__, ids))
-    at = list(map(operator.itemgetter(0), placed))
-    return masses, _widths(n, at), xs, denom
+    at, values, codes = placed
+    denom, (xs, *table) = _common(x, *values)
+    return [table[code] for code in codes], _widths(n, at), xs, denom
 
 
 def _prefix(n: int, placed: Placement, x: Fraction) -> tuple[list[int], int, int]:
@@ -243,8 +259,8 @@ def _prefix(n: int, placed: Placement, x: Fraction) -> tuple[list[int], int, int
 
 
 def _eval_placed(n: int, placed: Placement, x: Fraction) -> Fraction:
-    """`eval_f` of the length-n vector whose nonzero entries are ``placed``,
-    ascending (index, positive Fraction) pairs, for a positive Fraction x."""
+    """`eval_f` of the length-n vector whose nonzero entries are the
+    `Placement` ``placed``, for a positive Fraction x."""
     masses, widths, xs, denom = _scaled_placement(n, placed, x)
     return Fraction(_shortfall(masses, widths, xs), denom)
 
@@ -254,7 +270,7 @@ def eval_f(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
 
     Evaluated on integers scaled to one denominator, so the result is exact.
     """
-    vec = service_vector(v)
+    vec = tuple(v)
     return _eval_placed(len(vec), _placement(vec), _positive(x))
 
 
@@ -274,7 +290,7 @@ def strict_pair_sum(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
     singleton intervals: x for each zero entry and (x - mass)^+ for each mass.
     It is the O(n) reference for the closed forms of `variance_range`.
     """
-    vec = service_vector(v)
+    vec = tuple(v)
     n = len(vec)
     masses, widths, xs, denom = _scaled_placement(n, _placement(vec), _positive(x))
     below = list(itertools.compress(masses, map(operator.gt, itertools.repeat(xs), masses)))

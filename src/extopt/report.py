@@ -24,16 +24,18 @@ INCONCLUSIVE = "INCONCLUSIVE"
 class SolveReport:
     """A solution with its exact objective and solver provenance.
 
-    ``placed`` holds the solution's nonzero entries as ascending
-    (index, value) pairs; ``vector``, the length-n tuple, is built from it on
-    first access.  ``status`` is PROVEN when a theorem certifies optimality
-    and CONJECTURED when only the general duo construction backs it.
+    ``placed`` holds the solution's nonzero entries as a `model.Placement`
+    of three tuples (at, values, codes), so the report stays hashable:
+    mass j sits at index at[j] and is values[codes[j]].  ``vector``, the
+    length-n tuple, is built from it on first access.  ``status`` is PROVEN
+    when a theorem certifies optimality and CONJECTURED when only the
+    general duo construction backs it.
     The widest gap ``delta_star`` of a structured placement, the
     certificate of its search and the gap bounds ride along when available.
     """
 
     instance: "Instance"
-    placed: tuple[tuple[int, Fraction], ...]
+    placed: tuple[tuple[int, ...], tuple[Fraction, ...], tuple[int, ...]]
     objective: Fraction
     status: str
     method: str

@@ -312,3 +312,28 @@ def twelfths_grid():
         for x in (Fraction(1), Fraction(3, 7), Fraction(11, 10)):
             for k in range(1, 12 * n):
                 yield n, x, x * k / 12
+
+
+def placement(pairs):
+    """The (at, values, codes) placement of ascending (index, value) pairs.
+
+    Each distinct value object becomes one entry of ``values``, in order of
+    first use, so a value shared by reference stays shared; equal values
+    held as distinct objects stay distinct, as a solver's y and r do at
+    r = x/2."""
+    pairs = list(pairs)
+    index = {}
+    for _, e in pairs:
+        index.setdefault(id(e), (len(index), e))
+    return (tuple(i for i, _ in pairs), tuple(e for _, e in index.values()),
+            tuple(index[id(e)][0] for _, e in pairs))
+
+
+def assert_placement(n, placed):
+    """Check the form of a length-n vector's placement: ascending distinct
+    indices in range, one code per mass, every code naming a positive value."""
+    at, values, codes = placed
+    assert list(at) == sorted(set(at)) and all(0 <= a < n for a in at)
+    assert len(codes) == len(at)
+    assert all(0 <= c < len(values) for c in codes)
+    assert all(values[c] > 0 for c in codes)

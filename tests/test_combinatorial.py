@@ -466,10 +466,12 @@ class TestSolveCombinatorial:
         from extopt import ConstructionError, combinatorial
 
         original = combinatorial._gamma_placed
-        monkeypatch.setattr(
-            combinatorial, "_gamma_placed",
-            lambda i, delta: [(j + shift, e) for j, e in original(i, delta)],
-        )
+
+        def shifted(i, delta):
+            at, values, codes = original(i, delta)
+            return tuple(j + shift for j in at), values, codes
+
+        monkeypatch.setattr(combinatorial, "_gamma_placed", shifted)
         with pytest.raises(ConstructionError):
             solve_combinatorial(inst(7, 1, "0.5"))
 

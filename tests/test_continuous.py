@@ -23,8 +23,10 @@ from extopt.continuous import (
     satisfies_interleaving,
     tau,
 )
-from extopt.model import as_rational, eval_f_row
-from helpers import bisect_f, duo_layers, random_lambda_member, twelfths_grid
+from extopt.model import _materialize, as_rational, eval_f_row
+from helpers import (
+    assert_placement, bisect_f, duo_layers, placement, random_lambda_member, twelfths_grid,
+)
 
 F = Fraction
 
@@ -156,9 +158,18 @@ class TestCanonicalGapProfiles:
 
 
 def added(i):
-    # the nonzero entries of the reference layers' sum, in ascending order
+    # the vector of the placement of the reference layers' sum, from its
+    # nonzero entries in ascending order
     v_y, v_r = duo_layers(i)
-    return [(k, a + b) for k, (a, b) in enumerate(zip(v_y, v_r)) if a or b]
+    pairs = [(k, a + b) for k, (a, b) in enumerate(zip(v_y, v_r)) if a or b]
+    return _materialize(i.n, placement(pairs))
+
+
+def built(i):
+    # the vector of `build_duo`'s placement, checked for form
+    placed = build_duo(i)
+    assert_placement(i.n, placed)
+    return _materialize(i.n, placed)
 
 
 def gaps(layer):
@@ -170,8 +181,9 @@ def gaps(layer):
 class TestBuildDuo:
     def test_paper_vector(self):
         i = inst(7, 1, "2.2")
-        assert build_duo(i) == ((1, F(1)), (3, F(1, 5)), (4, F(4, 5)), (5, F(1, 5)))
-        assert list(build_duo(i)) == added(i)
+        # values (y, r, y + r): slot 1 is shared, so it holds y + r = x
+        assert build_duo(i) == ((1, 3, 4, 5), (F(4, 5), F(1, 5), F(1)), (2, 1, 0, 1))
+        assert built(i) == added(i) == (0, 1, 0, F(1, 5), F(4, 5), F(1, 5), 0)
         v_y, v_r = duo_layers(i)
         assert gaps(v_y) == (2, 3, 3)
         assert gaps(v_r) == (2, 2, 2, 2)
@@ -181,7 +193,7 @@ class TestBuildDuo:
         v_y, v_r = duo_layers(i)
         assert [k + 1 for k, e in enumerate(v_y) if e == i.y] == [3, 6]
         assert [k + 1 for k, e in enumerate(v_r) if e == i.r] == [2, 4, 7]
-        assert list(build_duo(i)) == added(i)
+        assert built(i) == added(i)
 
     def test_feasibility_random_instances(self):
         rng = random.Random(53)
@@ -194,10 +206,10 @@ class TestBuildDuo:
             if not 0 < w < n * x:
                 continue
             i = inst(n, x, w)
-            placed = build_duo(i)
-            assert list(placed) == added(i)
-            assert sum((e for _, e in placed), F(0)) == i.w
-            assert all(0 < e <= i.x for _, e in placed)
+            _, values, codes = build_duo(i)
+            assert built(i) == added(i)
+            assert sum((values[c] for c in codes), F(0)) == i.w
+            assert all(0 < values[c] <= i.x for c in codes)
             v_y, v_r = duo_layers(i)
             assert sum(v_y, F(0)) == i.m * i.y
             assert sum(v_r, F(0)) == (i.m + 1) * i.r
@@ -206,7 +218,7 @@ class TestBuildDuo:
         # near-vanishing leftover: the y-layer keeps near-equidistant gaps with
         # the widest one bounded by the m-mass gap bound
         i = inst(11, 1, F(3) + F(1, 1000))
-        assert list(build_duo(i)) == added(i)
+        assert built(i) == added(i)
         v_y, _ = duo_layers(i)
         pair = tau(i.n, i.m)
         assert sorted(set(gaps(v_y))) in ([pair.tau_l], [pair.tau_l, pair.tau_u], [pair.tau_u])
@@ -218,9 +230,19 @@ class TestBuildDuo:
         for n in range(2, 121):
             for m in range(0, n):
                 i = inst(n, 1, m + F(1, 3))
-                assert list(build_duo(i)) == added(i), (n, m)
+                assert built(i) == added(i), (n, m)
                 v_y, v_r = duo_layers(i)
                 assert (gaps(v_y), gaps(v_r)) == canonical_gap_profiles(n, m), (n, m)
+
+    def test_layers_add_up_at_large_n(self):
+        # the merge finds the shared slots from the few points where the
+        # layers' steps change: dense layers share most slots, sparse few
+        rng = random.Random(61)
+        for _ in range(40):
+            n = rng.randint(150, 12000)
+            m = rng.choice([rng.randint(0, 3), rng.randint(n // 4, n // 2), rng.randint(0, n - 1)])
+            i = inst(n, 1, m + F(rng.randint(1, 11), 12))
+            assert built(i) == added(i), (n, m)
 
     def test_wrong_branch(self):
         with pytest.raises(ValidationError):

@@ -27,7 +27,7 @@ from extopt import (
     solve_continuous,
     verify_conjecture,
 )
-from extopt.combinatorial import near_equidistant_parts
+from extopt.combinatorial import minimum, near_equidistant_parts
 from extopt.model import _prefix, as_rational
 from extopt.certificate import DualCertificate, check_certificate, dual_certificate
 from extopt.cli import main
@@ -430,6 +430,28 @@ class TestDualCertificate:
         point = dual_certificate((e for e in structured), inst(7, 1, "2.2"))
         assert naive_f(point, 1) < naive_f(structured, 1)
 
+    def test_check_validates_the_vector_once(self, monkeypatch):
+        # check_certificate scores the placement its prefix sums came from:
+        # one validation and one placement of v per call, the same bounds
+        from extopt import model
+
+        entries, placement = model._entries, model._placement
+        calls = []
+        monkeypatch.setattr(model, "_entries", lambda *a: calls.append("v") or entries(*a))
+        monkeypatch.setattr(model, "_placement", lambda *a: calls.append("p") or placement(*a))
+        checked = 0
+        for n, x, w in twelfths_grid():
+            i = inst(n, x, w)
+            if i.r == 0:
+                continue
+            report = solve_continuous(i)
+            cert = dual_certificate(report.vector, i)
+            calls.clear()
+            assert check_certificate(report.vector, i, cert) == report.objective == minimum(i)
+            assert calls == ["p", "v"]
+            checked += 1
+        assert checked > 3000
+
     def test_rejects_a_vector_off_the_budget(self):
         with pytest.raises(ValidationError):
             dual_certificate((F(1), F(0)), inst(2, 1, "1.5"))
@@ -563,7 +585,8 @@ class TestVerifyDecision:
 
         monkeypatch.setattr("extopt.report._materialize", refused)
         monkeypatch.setattr("extopt.model.service_vector", refused)
-        monkeypatch.setattr("extopt.certificate.eval_f", refused)
+        monkeypatch.setattr("extopt.model._placement", refused)
+        monkeypatch.setattr("extopt.certificate._eval_placed", refused)
         calls = []
         monkeypatch.setattr("extopt.oracle._prefix", lambda *args: calls.append(args) or _prefix(*args))
         for i, argv, out in zip(cases, argvs, expected):

@@ -13,13 +13,14 @@ from extopt.cli import main
 from extopt.combinatorial import _gamma_placed, build_gamma_member
 from extopt.continuous import build_duo
 from extopt.model import _materialize, _prefix, as_rational
-from helpers import duo_layers, naive_f, twelfths_grid
+from helpers import assert_placement, duo_layers, naive_f, placement, twelfths_grid
 
 F = Fraction
 
 
 def nonzero(vector):
-    return [(i, e) for i, e in enumerate(vector) if e]
+    # the placement of a vector, from its nonzero entries in ascending order
+    return placement((i, e) for i, e in enumerate(vector) if e)
 
 
 class TestDuoPlacement:
@@ -34,7 +35,9 @@ class TestDuoPlacement:
             v_y, v_r = duo_layers(i)
             combined = tuple(a + b for a, b in zip(v_y, v_r))
             assert sum(combined, F(0)) == i.w
-            assert list(build_duo(i)) == nonzero(combined)
+            placed = build_duo(i)
+            assert_placement(i.n, placed)
+            assert _materialize(i.n, placed) == _materialize(i.n, nonzero(combined))
             report = solve_continuous(i)
             assert report.objective == naive_f(report.vector, i.x)
             collided += any(a and b for a, b in zip(v_y, v_r))
@@ -67,7 +70,9 @@ class TestGammaPlacement:
                     member = build_gamma_member(i, delta)
                 except ConstructionError:
                     continue
-                assert _gamma_placed(i, delta) == nonzero(member)
+                placed = _gamma_placed(i, delta)
+                assert_placement(i.n, placed)
+                assert _materialize(i.n, placed) == _materialize(i.n, nonzero(member))
                 built += 1
         assert built > 200
 
@@ -81,6 +86,29 @@ class TestLargePlacements:
             i = Instance(10000, F(1), w)
             for report in (solve_continuous(i), solve_combinatorial(i)):
                 assert eval_f(report.vector, i.x) == report.objective
+
+    def test_solve_takes_no_id_per_mass(self, monkeypatch):
+        # a placement holds its masses as codes into a few values, so the
+        # solve scores and writes them with no id() per mass
+        calls = []
+
+        def counting(obj):
+            calls.append(obj)
+            return id(obj)
+
+        for module in ("model", "cli", "continuous", "combinatorial"):
+            monkeypatch.setattr(f"extopt.{module}.id", counting, raising=False)
+        for w in ("6667/2", "10001/4", "2500"):
+            i = Instance(10000, F(1), F(w))
+            for solve in (solve_continuous, solve_combinatorial):
+                placed = solve(i).placed
+                assert_placement(i.n, placed)
+                assert len(placed[1]) <= 4 and len(placed[0]) >= 2500
+            for domain in ("continuous", "combinatorial"):
+                calls.clear()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["solve", "--domain", domain, "-n", "10000", "-x", "1", "-w", w])
+                assert code == 0 and len(calls) <= 10, (w, domain, len(calls))
 
 
 class TestLazyVector:
@@ -129,14 +157,19 @@ class TestPrefix:
     def test_edge_placements(self):
         third = F(1, 3)
         cases = [
-            (5, [], F(3, 7)),  # no mass: n + 1 zeros
-            (1, [(0, F(5, 2))], F(1)),
-            (4, [(0, F(1, 2)), (3, third)], F(1)),  # masses at 0 and n - 1
-            (6, [(1, third), (2, third), (5, third)], F(2, 5)),  # one object repeated
+            (5, placement([]), F(3, 7)),  # no mass: n + 1 zeros
+            (1, placement([(0, F(5, 2))]), F(1)),
+            (4, placement([(0, F(1, 2)), (3, third)]), F(1)),  # masses at 0 and n - 1
+            (6, placement([(1, third), (2, third), (5, third)]), F(2, 5)),  # one object repeated
+            # equal values held as distinct objects, as y and r at r = x/2
+            (5, placement([(0, F(1, 2)), (2, F(1, 2)), (4, F(1))]), F(1)),
         ]
         for n, placed, x in cases:
+            assert_placement(n, placed)
             assert _prefix(n, placed, x) == scaled_prefix(_materialize(n, placed), x)
-        assert _prefix(5, [], F(3, 7)) == ([0] * 6, 3, 7)
-        assert _prefix(4, [(0, F(1, 2)), (3, third)], F(1)) == ([0, 3, 3, 3, 5], 6, 6)
-        assert _prefix(6, [(1, third), (2, third), (5, third)], F(2, 5)) == (
+        assert cases[3][1] == ((1, 2, 5), (third,), (0, 0, 0))
+        assert cases[4][1][1:] == ((F(1, 2), F(1, 2), F(1)), (0, 1, 2))
+        assert _prefix(5, placement([]), F(3, 7)) == ([0] * 6, 3, 7)
+        assert _prefix(4, placement([(0, F(1, 2)), (3, third)]), F(1)) == ([0, 3, 3, 3, 5], 6, 6)
+        assert _prefix(6, placement([(1, third), (2, third), (5, third)]), F(2, 5)) == (
             [0, 0, 5, 10, 10, 10, 15], 6, 15)

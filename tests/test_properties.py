@@ -14,9 +14,9 @@ from extopt.certificate import DualCertificate, check_certificate, dual_certific
 from extopt.cli import _dumps, _vec
 from extopt.continuous import minimum
 from extopt.model import (
-    _eval_placed, _materialize, as_rational, service_vector, strict_pair_sum,
+    _eval_placed, _materialize, _placement, as_rational, service_vector, strict_pair_sum,
 )
-from helpers import naive_f, naive_strict_pairs
+from helpers import assert_placement, naive_f, naive_strict_pairs, placement
 
 F = Fraction
 
@@ -124,7 +124,7 @@ def test_gap_form_kernel_matches_the_naive_sums(v, x):
 
 @st.composite
 def shared_placements(draw):
-    """(n, placement, x) with n <= 40 whose masses are a few shared objects:
+    """(n, placed, x) with n <= 40 whose masses are a few shared objects:
     exactly x, above x, just below x and one drawn mass, as a solver's
     placement repeats x and r; fresh objects of equal value recur too."""
     n = draw(st.integers(1, 40))
@@ -137,7 +137,7 @@ def shared_placements(draw):
         if draw(st.booleans()):
             e = F(e.numerator, e.denominator)  # an equal object, not the same one
         placed.append((i, e))
-    return n, placed, x
+    return n, placement(placed), x
 
 
 @DERANDOMIZED
@@ -147,6 +147,28 @@ def test_placement_kernel_matches_the_naive_sums(case):
     vec = _materialize(n, placed)
     assert _eval_placed(n, placed, x) == naive_f(vec, x)
     assert strict_pair_sum(vec, x) == naive_strict_pairs(vec, x)
+
+
+@DERANDOMIZED
+@given(
+    v=st.one_of(sparse_vectors(0, 5), sparse_vectors(1, 40),
+                st.lists(st.sampled_from([F(0), F(1, 3), F(2, 3), F(1)]), min_size=1, max_size=40)),
+    x=positive_rationals,
+    form=st.sampled_from([str, float]),
+)
+@example(v=[F(0)] * 5, x=F(1), form=str)  # no mass
+@example(v=[F(1, 2), F(1, 2), F(0), F(1)], x=F(1), form=float)  # equal values, distinct objects
+@example(v=[0, "1/3", 1, "1/3", 0], x=F(1), form=str)  # entries converted from int and str
+def test_placement_of_a_vector_scores_and_writes_as_the_vector(v, x, form):
+    # a dense vector converts to one placement, which materializes to the
+    # validated vector and scores and writes as that vector does
+    n, vec = len(v), service_vector(v)
+    placed = _placement(v)
+    assert_placement(n, placed)
+    assert len(placed[1]) == len(set(map(id, placed[1])))  # each value object once
+    assert _materialize(n, placed) == vec
+    assert _eval_placed(n, placed, x) == naive_f(vec, x)
+    assert _dumps(_vec(n, placed, form)) == json.dumps([form(e) for e in vec], indent=2)
 
 
 @st.composite
@@ -245,8 +267,9 @@ def test_solvers_scale_with_x_and_w(inst, c):
     scaled = Instance(inst.n, c * inst.x, c * inst.w)
     for solve in (solve_continuous, solve_combinatorial):
         base, report = solve(inst), solve(scaled)
-        assert [i for i, _ in report.placed] == [i for i, _ in base.placed]
-        assert [e for _, e in report.placed] == [c * e for _, e in base.placed]
+        (at, values, codes), (base_at, base_values, base_codes) = report.placed, base.placed
+        assert at == base_at
+        assert [values[k] for k in codes] == [c * base_values[k] for k in base_codes]
         assert report.objective == c * base.objective
         assert report.status == base.status
 
@@ -312,7 +335,7 @@ def test_writer_runs_no_encoder_for_lone_str_int_bool_or_none(monkeypatch):
     # nor for a Fraction, alone, as a dict value, in a flat list or in a
     # vector, nor for a finite float, alone or in a vector of floats
     yr = F(2, 3) + F(1, 3)
-    placed = [(1, yr), (3, F(-1, 3)), (4, yr), (6, F(2**70 + 1, 2**65))]
+    placed = placement([(1, yr), (3, F(-1, 3)), (4, yr), (6, F(2**70 + 1, 2**65))])
     payload = {"s": "é\n", "i": -(2**64), "b": True, "n": None,
                "nested": {"f": False, "zero": 0}, "mixed": [{"k": 1}, "x", None],
                "window": [F(37, 28), F(11, 4)], "flat": ["x", -3, True, None],
@@ -344,7 +367,8 @@ def test_writer_runs_no_encoder_for_lone_str_int_bool_or_none(monkeypatch):
 @example(value=F(-(2**70) - 1, 2**65))  # numerator and denominator above 2**64
 @example(value=F(2**64 + 1, 2**64 + 3))
 def test_writer_writes_fractions_exactly(value):
-    written = {"value": value, "window": [value, -value], "vector": _vec(3, [(1, value)])}
+    written = {"value": value, "window": [value, -value],
+               "vector": _vec(3, placement([(1, value)]))}
     plain = {"value": str(value), "window": [str(value), str(-value)],
              "vector": ["0", str(value), "0"]}
     assert _dumps(value) == json.dumps(str(value))
@@ -355,7 +379,7 @@ def test_vector_writer_formats_each_distinct_entry_once():
     # 1,000 masses share three value objects: `form` runs for the zero and
     # for each object, not for each mass
     pool = [F(7, 3), F(1, 3), F(2, 3)]
-    placed = [(2 * i, pool[i % 3]) for i in range(1000)]
+    placed = placement([(2 * i, pool[i % 3]) for i in range(1000)])
     calls = []
 
     def form(entry):
@@ -376,7 +400,7 @@ def written_placements(draw):
     r = x / draw(st.integers(2, 9))
     pool = [x, r, x - r, draw(masses)]
     at = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
-    return n, [(i, pool[draw(st.integers(0, len(pool) - 1))]) for i in at]
+    return n, placement([(i, pool[draw(st.integers(0, len(pool) - 1))]) for i in at])
 
 
 yr = F(2, 3) + F(1, 3)  # one object for every collided y + r slot
@@ -384,11 +408,11 @@ yr = F(2, 3) + F(1, 3)  # one object for every collided y + r slot
 
 @DERANDOMIZED
 @given(case=written_placements(), form=st.sampled_from([str, float]))
-@example(case=(1, [(0, F(5, 2))]), form=str)  # n = 1
-@example(case=(1, []), form=float)
-@example(case=(6, [(0, F(1, 3)), (5, F(2, 3))]), form=str)  # masses at 0 and n - 1
-@example(case=(3, [(0, yr), (1, F(1, 7)), (2, yr)]), form=str)  # no zeros
-@example(case=(7, [(1, yr), (3, F(1, 3)), (4, yr), (6, yr)]), form=float)
+@example(case=(1, placement([(0, F(5, 2))])), form=str)  # n = 1
+@example(case=(1, placement([])), form=float)
+@example(case=(6, placement([(0, F(1, 3)), (5, F(2, 3))])), form=str)  # masses at 0 and n - 1
+@example(case=(3, placement([(0, yr), (1, F(1, 7)), (2, yr)])), form=str)  # no zeros
+@example(case=(7, placement([(1, yr), (3, F(1, 3)), (4, yr), (6, yr)])), form=float)
 def test_vector_writer_matches_the_indented_encoder(case, form):
     # `_vec` writes the texts the encoder would write for the entries:
     # "p/q" strings, or floats as `verify` writes its minimizer
