@@ -11,10 +11,11 @@ certificate, so it exits 0, or 1 on a failed self-check.  sweep
 --with-oracle writes that certificate's exact bound per row, so no command
 loads numpy.
 
-A command line whose first item names a command is parsed by that
-command's parser alone, in one argparse pass; what it leaves over is
-rejected with the full parser's "unrecognized arguments" error.  Any other
-command line goes through the full parser.  The JSON is written by a walk of
+A command line of one exact form, a command name and then ``option value``
+pairs that argparse would accept as they are, is read straight from that
+command's option table (`_read`), which `_build_parsers` makes from the
+parsers' own actions.  Any other command line goes to the full argparse
+parser, which also writes every help text, version and error.  The JSON is written by a walk of
 the envelope's dicts and lists that sends each key and each scalar to its
 text through one table by exact type (a Fraction as its "p/q" string), with
 no encoder built per value; its bytes equal ``json.dumps(payload, indent=2)``
@@ -31,7 +32,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
 from .combinatorial import _gamma_placements, solve_combinatorial
@@ -218,7 +219,12 @@ def _sweep_rows(args: argparse.Namespace) -> list[tuple[int, Fraction]]:
     first = max(0, math.floor(-w_from / w_step) + 1)
     last = math.floor((w_to - w_from) / w_step)
     rows: list[tuple[int, Fraction]] = []
-    for n in range(args.n_from, args.n_to + 1):
+    if last < first:
+        return rows
+    # n adds a row iff n*x > w_from + first*w_step, and then so does every
+    # larger n: the loop starts there, so the cap bounds it whatever --n-to
+    start = max(args.n_from, math.floor((w_from + first * w_step) / x) + 1)
+    for n in range(start, args.n_to + 1):
         top = min(last, math.ceil((n * x - w_from) / w_step) - 1)
         if len(rows) + max(0, top - first + 1) > cap:
             raise SizeCapError(f"sweep would exceed {cap} instances")
@@ -337,8 +343,32 @@ def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap", type=int, default=None, help=f"lattice point cap{ignored}")
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser, and its subcommand parsers by command name."""
+class _Command(NamedTuple):
+    """One command's table for `_read`: its options that take one value, by
+    option string; the namespace a command line starts from (``command``,
+    every option's default, then ``func``, in the full parser's order); and
+    the dests of its required options."""
+
+    options: dict[str, argparse.Action]
+    start: dict[str, Any]
+    required: frozenset[str]
+
+
+def _command_table(name: str, parser: argparse.ArgumentParser) -> _Command:
+    """The `_Command` of the command ``name`` and its parser, read from the
+    actions that its ``add_argument`` calls returned."""
+    actions = [action for action in parser._actions if action.default is not argparse.SUPPRESS]
+    return _Command(
+        options={option: action for action in actions if action.nargs is None
+                 for option in action.option_strings},
+        start={"command": name, **{action.dest: action.default for action in actions},
+               "func": parser.get_default("func")},
+        required=frozenset(action.dest for action in actions if action.required),
+    )
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
+    """The full parser, and the `_Command` table of each of its commands by name."""
     parser = argparse.ArgumentParser(
         prog="extopt",
         description="Exact solvers and oracles for the interval-shortfall objective "
@@ -388,7 +418,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
                         help="widest gap (defaults to the optimal one)")
     p_enum.add_argument("--cap", type=int, default=None, help="max n for enumeration")
     p_enum.set_defaults(func=_cmd_enumerate)
-    return parser, sub.choices
+    return parser, {name: _command_table(name, command) for name, command in sub.choices.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,29 +426,53 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     # built on first use and reused: parsing leaves the parsers unchanged
     return _build_parsers()
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace the full parser gives for ``argv``, in one argparse pass
-    when ``argv[0]`` names a command.
+def _read(command: _Command, args: list[str]) -> argparse.Namespace | None:
+    """The namespace of a command's arguments of the form ``option value
+    ...``, or None when they are of any other form or argparse would reject
+    them.
 
-    The full parser hands every argument after the command to that
-    command's parser and then rejects what it left over; calling the
-    command's parser directly skips the full parser's classification of the
-    same arguments.  Any other command line (empty, --version, -h, an option
-    before the command, an unknown command) goes through the full parser.
+    Each option must be an exact key of ``command.options`` and each value
+    must not start with "-"; each value passes its option's ``type`` and
+    ``choices`` as in argparse (a later repeat replaces an earlier one), and
+    every required option must be given.
+    """
+    if len(args) % 2:
+        return None
+    given: dict[str, Any] = {}
+    for option, text in zip(args[::2], args[1::2]):
+        action = command.options.get(option)
+        if action is None or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    if not command.required <= given.keys():
+        return None
+    return argparse.Namespace(**{**command.start, **given})
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace the full parser gives for ``argv``.
+
+    A command name followed by ``option value`` pairs that `_read` accepts
+    is read from that command's table, with no argparse call.  Any other
+    command line (help, --version, an abbreviation, ``--opt=value``, a value
+    that starts with "-", ``--``, a flag, anything argparse rejects) goes to
+    the full parser, which writes the help, the version or the error.
     """
     parser, commands = _parsers()
     command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    args = None if command is None else _read(command, argv[1:])
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: Sequence[str] | None = None) -> int:

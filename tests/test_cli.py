@@ -1,7 +1,9 @@
 """End-to-end behaviour of the command-line interface."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import random
@@ -11,6 +13,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extopt import Instance, SizeCapError, solve_combinatorial
 from extopt import cli
@@ -253,6 +257,20 @@ class TestSweep:
         with out_path.open() as handle:
             ws = [F(row["w"]) for row in csv.DictReader(handle)]
         assert ws == [F(k, 100) for k in range(1, 200)]
+
+    @pytest.mark.parametrize(("w_from", "w_to"), [(2, 1), (10**15, 10**15 + 1)],
+                             ids=["empty-w-range", "w-beyond-every-n"])
+    def test_rowless_ranges_return_at_once_whatever_n_to(self, monkeypatch, w_from, w_to):
+        # the loop over n starts at the first n with a row, so the cap bounds it
+        def short_range(*bounds):
+            span = range(*bounds)
+            assert len(span) <= 10**6, f"a loop over {len(span)} values"
+            return span
+
+        monkeypatch.setattr(cli, "range", short_range, raising=False)
+        args = argparse.Namespace(x="1", w_from=str(w_from), w_to=str(w_to), w_step="1",
+                                  n_from=1, n_to=10**12, cap=None)
+        assert _sweep_rows(args) == []
 
     def test_with_oracle_column(self, capsys, tmp_path):
         out_path = tmp_path / "oracle.csv"
@@ -543,6 +561,20 @@ DISPATCH_CASES = [
     pytest.param([], 2, id="empty"),
     pytest.param(["-n", "5", "solve"], 2, id="option-before-command"),
     pytest.param(["sideways", *INSTANCE], 2, id="unknown-command"),
+    pytest.param([*SOLVE, "-n", "8"], 0, id="repeated-option-last-wins"),
+    pytest.param(["solve", "--domain", "continuous", "-n", "five", "-x", "1", "-w", "11/5"],
+                 2, id="bad-int"),
+    pytest.param(["solve", "--domain", "sideways", *INSTANCE], 2, id="bad-choice"),
+    pytest.param([*SOLVE, "-n"], 2, id="trailing-option-without-value"),
+    pytest.param(["solve", "--domain", "continuous", "-n", "7", "-x", "", "-w", "11/5"],
+                 2, id="empty-value"),
+    pytest.param(["solve", "--domain", "continuous", "-n", "7", "-x", "-w", "1"],
+                 2, id="option-as-value"),
+    pytest.param(["sweep", "--n-from", "7", "--n-to", "7", "-x", "1", "--w-from", "1",
+                  "--w-to", "2", "--w-step", "1", "--output", "{tmp}/table.csv", "--with-oracle"],
+                 0, id="sweep-with-oracle"),
+    pytest.param(["verify", "-n", "6", "-x", "1", "-w", "6/5", "--seed", "3", "--restarts", "2"],
+                 0, id="verify-ignored-flags"),
 ]
 
 
@@ -566,13 +598,82 @@ class TestDispatch:
         monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
         assert outcome(capsys, argv) == dispatched
 
-    def test_a_named_command_skips_the_full_parser(self, capsys, monkeypatch):
-        parser, _ = cli._parsers()
-
+    def test_a_well_formed_line_calls_no_argparse_parse(self, capsys, monkeypatch, tmp_path):
         def refused(*args, **kwargs):
-            raise AssertionError("the full parser ran")
+            raise AssertionError("argparse parsed")
 
-        monkeypatch.setattr(parser, "parse_known_args", refused)
-        assert outcome(capsys, SOLVE)[0] == 0
-        with pytest.raises(AssertionError, match="the full parser ran"):
-            main(["--version"])
+        cli._parsers()
+        for name in dir(argparse.ArgumentParser):
+            if name.startswith("parse_"):
+                monkeypatch.setattr(argparse.ArgumentParser, name, refused)
+        well_formed = [case.values[0] for case in DISPATCH_CASES
+                       if case.id in {"solve-continuous", "solve-combinatorial", "verify",
+                                      "sweep", "variance", "enumerate",
+                                      "repeated-option-last-wins", "verify-ignored-flags"}]
+        assert len(well_formed) == 8
+        for argv in well_formed:
+            argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+            assert outcome(capsys, argv)[0] == 0
+        for argv in (["--version"], [*SOLVE, "--bogus"], ["solve", "--dom", "continuous", *INSTANCE]):
+            with pytest.raises(AssertionError, match="argparse parsed"):
+                main(argv)
+
+
+def _values(action):
+    """Texts for ``action``'s value: ones it takes, and ones it rejects or
+    that leave the form `_read` accepts."""
+    if action.choices is not None:
+        return list(action.choices), ["sideways", "-continuous", ""]
+    if action.type is int:
+        return ["3", "7", "0", "1_0", " 9"], ["five", "", "-1", "2.5"]
+    return ["1", "11/5", "2.2", "", "x"], ["-1/2", "-w", "-", "--"]
+
+
+# arguments that leave the form `_read` accepts
+MALFORMED = ["--bogus", "stray", "--", "-h", "-n5", "--with-oracle", "--version",
+             "--lambda=1/2", "--dom", "--n-f"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its options in any order, some optional ones dropped and
+    some repeated.  About half are then mangled: a required option dropped,
+    a rejected value, a malformed argument, a missing last value."""
+    name = draw(st.sampled_from(sorted(cli._parsers()[1])))
+    options = cli._parsers()[1][name].options
+    mangled = draw(st.booleans())
+    # True about once in four draws
+    rarely = st.sampled_from([True, False, False, False])
+
+    def kept(option):
+        if options[option].required:
+            return not (mangled and draw(rarely))
+        return draw(st.booleans())
+
+    present = [option for option in sorted(options) if kept(option)]
+    repeated = draw(st.lists(st.sampled_from(sorted(options)), max_size=2))
+    argv = [name]
+    for option in draw(st.permutations(present)) + repeated:
+        good, bad = _values(options[option])
+        argv += [option, draw(st.sampled_from(bad if mangled and draw(rarely) else good))]
+    if mangled and draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(MALFORMED)))
+    if mangled and len(argv) > 1 and draw(st.booleans()):
+        argv.pop()
+    return argv
+
+
+def parsed(parse, argv):
+    """``vars`` of the namespace, or the exit code and the texts written."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(command_lines())
+def test_parse_matches_the_full_parser(argv):
+    assert parsed(cli._parse, argv) == parsed(build_parser().parse_args, argv)
