@@ -15,11 +15,13 @@ A command line of one exact form, a command name and then ``option value``
 pairs that argparse would accept as they are, is read straight from that
 command's option table (`_read`), which `_build_parsers` makes from the
 parsers' own actions.  Any other command line goes to the full argparse
-parser, which also writes every help text, version and error.  The JSON is written by a walk of
-the envelope's dicts and lists that sends each key and each scalar to its
-text through one table by exact type (a Fraction as its "p/q" string), with
-no encoder built per value; its bytes equal ``json.dumps(payload, indent=2)``
-with each Fraction replaced by its string.
+parser, which also writes every help text, version and error.
+
+The JSON is written by a walk of the envelope's dicts and lists that sends
+each key and each scalar to its text through one table by exact type (a
+Fraction as its "p/q" string), with no encoder built per value; its bytes
+equal ``json.dumps(payload, indent=2)`` with each Fraction replaced by its
+string.
 """
 
 from __future__ import annotations

@@ -602,7 +602,6 @@ class TestDispatch:
         def refused(*args, **kwargs):
             raise AssertionError("argparse parsed")
 
-        cli._parsers()
         for name in dir(argparse.ArgumentParser):
             if name.startswith("parse_"):
                 monkeypatch.setattr(argparse.ArgumentParser, name, refused)
@@ -614,7 +613,7 @@ class TestDispatch:
         for argv in well_formed:
             argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
             assert outcome(capsys, argv)[0] == 0
-        for argv in (["--version"], [*SOLVE, "--bogus"], ["solve", "--dom", "continuous", *INSTANCE]):
+        for argv in (["--version"], [*SOLVE, "--bogus"], ["solve", "--dom", *SOLVE[2:]]):
             with pytest.raises(AssertionError, match="argparse parsed"):
                 main(argv)
 
