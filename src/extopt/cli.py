@@ -19,8 +19,9 @@ parser, which also writes every help text, version and error.
 
 The JSON is written by a walk of the envelope's dicts and lists that sends
 each key and each scalar to its text through one table by exact type (a
-Fraction as its "p/q" string), with no encoder built per value; its bytes
-equal ``json.dumps(payload, indent=2)`` with each Fraction replaced by its
+Fraction as its "p/q" string), with no encoder built per value, and writes
+a solution vector run by run from its placement; its bytes equal
+``json.dumps(payload, indent=2)`` with each Fraction replaced by its
 string.
 """
 
@@ -29,7 +30,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import math
 import sys
@@ -49,6 +49,8 @@ from .model import (
     Instance,
     Placement,
     QueueParams,
+    _common,
+    _length,
     as_rational,
     externality_mean,
     variance_range,
@@ -60,27 +62,21 @@ from .report import CONJECTURED, INCONCLUSIVE, PROVEN, SolveReport
 SCHEMA = "extopt/1"
 
 
-class _JSONTexts(list):
-    """The JSON texts of a flat list's items, which `_dumps` joins as they are."""
+class _VectorTexts(tuple):
+    """(n, runs, texts, zero) of a length-n vector for `_dumps`: the runs of
+    its placement, the JSON text of each of its values and the text of a
+    zero entry."""
 
 
 def _vec(
     n: int, placed: Placement, form: Callable[[Fraction], Any] = lambda entry: entry
-) -> _JSONTexts:
+) -> _VectorTexts:
     """The length-n vector whose nonzero entries are ``placed``, each entry
-    written as the JSON text of ``form(entry)``.
-
-    Each entry of the placement's ``values`` is formatted once, and its
-    texts are scattered by ``at`` and ``codes`` over a list of zero texts.
-    """
-    at, values, codes = placed
-    texts = [_text(form(value)) for value in values]
-    out = _JSONTexts(itertools.repeat(_text(form(Fraction(0))), n))
-    # a plain loop: list stores and loads by int index run as specialized
-    # bytecode, faster than a map over bound methods
-    for i, code in zip(at, codes):
-        out[i] = texts[code]
-    return out
+    written as the JSON text of ``form(entry)``: each entry of the
+    placement's ``values`` is formatted once, whatever n."""
+    runs, values = placed
+    return _VectorTexts((n, runs, [_text(form(value)) for value in values],
+                         _text(form(Fraction(0)))))
 
 
 def _envelope(command: str, instance: dict[str, Any], result: Any, status: str) -> dict:
@@ -146,11 +142,25 @@ def _text(value: Any) -> str:
 
 def _dumps(value: Any, indent: str = "") -> str:
     """The bytes of ``json.dumps(value, indent=2)`` for a payload with string
-    keys, where a Fraction stands for its "p/q" string and a `_JSONTexts`
-    for the list of its items' values.  Dicts and lists are walked here, a
-    `_JSONTexts` is joined as it is, and `_text` writes every key and
-    scalar."""
+    keys, where a Fraction stands for its "p/q" string and a `_VectorTexts`
+    for the list of its entries.  Dicts and lists are walked here, `_text`
+    writes every key and scalar, and a `_VectorTexts` is written one run at
+    a time: the text of its unit, each item followed by the item
+    separator, repeated count times by one string repetition."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:  # most values are scalars: look them up first
+        return scalar(value)
     inner = indent + "  "
+    if type(value) is _VectorTexts:
+        n, runs, texts, zero = value
+        sep = ",\n" + inner
+        zero += sep
+        body = "".join([
+            "".join([zero * zeros + texts[code] + sep for zeros, code in unit]) * count
+            for unit, count in runs
+        ]) + zero * (n - _length(runs))
+        # the last item takes no separator
+        return "[\n" + inner + body[:-len(sep)] + "\n" + indent + "]" if body else "[]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -160,7 +170,7 @@ def _dumps(value: Any, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        texts = value if isinstance(value, _JSONTexts) else (_dumps(item, inner) for item in value)
+        texts = (_dumps(item, inner) for item in value)
         return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
     return _text(value)
 
@@ -220,18 +230,29 @@ def _sweep_rows(args: argparse.Namespace) -> list[tuple[int, Fraction]]:
     # w <= w_to and 0 < w < n*x, so points outside the domain cost nothing
     first = max(0, math.floor(-w_from / w_step) + 1)
     last = math.floor((w_to - w_from) / w_step)
-    rows: list[tuple[int, Fraction]] = []
     if last < first:
-        return rows
+        return []
     # n adds a row iff n*x > w_from + first*w_step, and then so does every
-    # larger n: the loop starts there, so the cap bounds it whatever --n-to
+    # larger n; from n = full on, every point up to `last` is a row
     start = max(args.n_from, math.floor((w_from + first * w_step) / x) + 1)
-    for n in range(start, args.n_to + 1):
-        top = min(last, math.ceil((n * x - w_from) / w_step) - 1)
-        if len(rows) + max(0, top - first + 1) > cap:
-            raise SizeCapError(f"sweep would exceed {cap} instances")
-        rows.extend((n, w_from + k * w_step) for k in range(first, top + 1))
-    return rows
+    full = max(start, min(math.floor((w_from + last * w_step) / x) + 1, args.n_to + 1))
+    denom, (xs, ws, ss) = _common(x, w_from, w_step)
+
+    def top(n: int) -> int:
+        # the last k with w_from + k*w_step < n*x, at most `last`
+        return min(last, (n * xs - ws - 1) // ss)
+
+    # count the rows before building any: each n below `full` adds at least
+    # one, so the loop stops within cap + 1 steps
+    count = max(0, args.n_to + 1 - full) * (last - first + 1)
+    for n in range(start, full):
+        if count > cap:
+            break
+        count += top(n) - first + 1
+    if count > cap:
+        raise SizeCapError(f"sweep would exceed {cap} instances")
+    return [(n, w_from + k * w_step)
+            for n in range(start, args.n_to + 1) for k in range(first, top(n) + 1)]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -303,7 +324,7 @@ def _cmd_variance(args: argparse.Namespace) -> int:
         "variance_sup": variance_sup,
         "minimizing_vector": _vec(inst.n, cont.placed),
         # the placement of model.supremum_vector(inst)
-        "supremum_vector": _vec(inst.n, ((0,), (inst.w,), (0,))),
+        "supremum_vector": _vec(inst.n, (((((0, 0),), 1),), (inst.w,))),
     }
     instance = _instance_dict(inst)
     instance["queue"] = {"lambda": q.lam, "mu1": q.mu1, "mu2": q.mu2}

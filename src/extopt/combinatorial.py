@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionError, SizeCapError, ValidationError
-from .model import Instance, Placement, _common, _eval_placed, _integer, _materialize
+from .model import (
+    Instance, Placement, _common, _eval_placed, _grouped, _integer, _materialize, _packed,
+)
 from .model import eval_f  # noqa: F401  perfbench/tracing.py wraps it under this module
 from .report import PROVEN, SolveReport
 
@@ -219,13 +221,14 @@ def delta_search(inst: Instance) -> DeltaCertificate:
 
 def _gamma_placed(inst: Instance, delta: int) -> Placement:
     """The `Placement` of `build_gamma_member`: values (r, x) when r > 0,
-    else (x,), the leftover first and then the m x-masses."""
+    else (x,), the leftover first and then the m x-masses, whose gap ends
+    after the first make two runs, the short gaps and the long ones."""
     n, m, x, r = inst.n, inst.m, inst.x, inst.r
     _integer("delta", delta, 1)
     if m == 0:
         if delta != n + 1:
             raise ConstructionError(f"with w < x the only valid widest gap is {n + 1}")
-        return ((n - 1) // 2,), (r,), (0,)  # the smallest middle point of the n slots
+        return (((((n - 1) // 2, 0),), 1),), (r,)  # the smallest middle point of the n slots
     if delta > n + 1 - m:
         raise ConstructionError(f"delta = {delta} leaves no room for {m} masses on {n} slots")
     q, s = divmod(n + 1 - delta, m)  # the m gaps besides the widest, near-equal
@@ -237,14 +240,16 @@ def _gamma_placed(inst: Instance, delta: int) -> Placement:
     if r > 0 and delta < 2:
         raise ConstructionError("the widest stretch has no slot for the leftover mass")
     # the x-masses end the first m gaps: 0-based, at delta - 1 plus the
-    # running sums of the remainder gaps
+    # running sums of the remainder gaps, q apart and then q + 1 apart
     short, long = _part_ends(m, n + 1 - delta, delta - 1)
-    xs_at = (delta - 1, *short, *long)
     if r == 0:
-        return xs_at, (x,), (0,) * m
-    # the leftover sits at the smallest middle point of the leading widest
-    # stretch, slots 1..delta-1, before every x
-    return ((delta - 2) // 2, *xs_at), (r, x), (0,) + (1,) * m
+        code, values, lead = 0, (x,), ((delta - 1, 0),)
+    else:
+        # the leftover sits at the smallest middle point of the leading
+        # widest stretch, slots 1..delta-1, before every x
+        j = (delta - 2) // 2
+        code, values, lead = 1, (r, x), ((j, 0), (delta - 2 - j, 1))
+    return _packed([(lead, 1), (((q - 1, code),), len(short)), (((q, code),), len(long))]), values
 
 
 def build_gamma_member(inst: Instance, delta: int) -> tuple[Fraction, ...]:
@@ -296,11 +301,11 @@ def _gamma_placements(inst: Instance, delta: int, cap: int) -> list[Placement]:
     for positions, j in seen:
         at = [pos - 1 for pos in positions]
         if not j:
-            placements.append((tuple(at), (x,), (0,) * m))
+            placements.append((_grouped(at, [0] * m), (x,)))
             continue
         k = bisect.bisect(at, j - 1)
         at.insert(k, j - 1)
-        placements.append((tuple(at), (r, x), (1,) * k + (0,) + (1,) * (m - k)))
+        placements.append((_grouped(at, [1] * k + [0] + [1] * (m - k)), (r, x)))
     return sorted(placements, key=functools.partial(_materialize, n))
 
 

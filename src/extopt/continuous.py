@@ -6,9 +6,9 @@ near-equidistant layers added together: m masses of y = x - r and m+1
 masses of r.  With t = r/x this is (1 - t)*E_m + t*E_{m+1}, E_k the
 equidistant optimum at budget k*x, and it attains the chord between their
 values, which is the minimum (the theorem in README "Oracles").  The duo
-is built as its `model.Placement`, the nonzero entries alone, in O(m)
-whatever n, and every solve checks its objective against that chord
-(``minimum``).  Reports carry the paper's PROVEN/CONJECTURED status:
+is built as its `model.Placement`, a few runs of a repeated unit, in
+O(runs) whatever n and m, and every solve checks its objective against
+that chord (``minimum``).  Reports carry the paper's PROVEN/CONJECTURED status:
 PROVEN when r = 0 or where the two layers share a gap bound.
 
 ``tau``, ``TauPair`` and ``minimum`` are defined in `extopt.combinatorial`
@@ -20,13 +20,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .combinatorial import (
-    _gamma_placed, _part_ends, _scored, minimum, near_equidistant_parts, tau,
-)
+from .combinatorial import _gamma_placed, _scored, minimum, near_equidistant_parts, tau
 from .combinatorial import TauPair  # noqa: F401  re-exported as extopt.continuous.TauPair
 from .combinatorial import build_gamma_member  # noqa: F401  wrapped here by perfbench/tracing.py
 from .errors import ValidationError
-from .model import Instance, Placement, _integer
+from .model import Instance, Placement, _integer, _packed
 from .model import eval_f  # noqa: F401  wrapped here by perfbench/tracing.py
 from .report import CONJECTURED, PROVEN, SolveReport
 
@@ -79,14 +77,30 @@ def build_duo(inst: Instance) -> Placement:
     where E_k is the equidistant optimum at budget k*x, so it lies on the
     chord ``minimum`` whether or not the layers interleave strictly.
 
-    The layers interleave weakly: y slot i lies between r slots i and i+1
-    (the i smallest of m+2 near-equal parts sum to no more than the i
-    smallest of m+1, and the largest likewise).  So the slots r_0, y_0,
-    r_1, ..., y_{m-1}, r_m ascend, and a shared slot is two equal
-    neighbours.  Both gaps y_i - r_i and r_{i+1} - y_i are nonnegative and
-    piecewise linear in i, so their zeros are found at the few points where
-    the layers' steps change (`_shared_runs`), and the placement is merged in
-    O(m), whatever n.
+    With (q, s) = divmod(n + 1, k + 1), a layer of k masses puts mass i
+    (0-based) at slot (i + 1)*q + max(0, i + 1 - (k + 1 - s)) - 1.  The
+    layers interleave weakly: y slot i lies between r slots i and i+1 (the
+    i smallest of m+2 near-equal parts sum to no more than the i smallest
+    of m+1, and the largest likewise).  So the slots r_0, y_0, r_1, ...,
+    y_{m-1}, r_m ascend, and a shared slot is two equal neighbours.  Index
+    i contributes the tokens of y_i and of r_i unless r_i is y_{i-1}, and
+    these depend only on the gaps g(i-1), f(i), g(i), where
+    f(i) = y_i - r_i >= 0 and g(i) = r_{i+1} - y_i >= 0.
+
+    The steps of r_i and y_i change once each, so f and g are linear
+    between neighbouring nodes, the ends 0 and m - 1 and the indices where
+    a step that f or g reads changes.  If the r-step changes on a piece
+    a..b (neighbouring nodes), the piece is one index, as both indices
+    around that change are nodes.  Otherwise f + g = r_{i+1} - r_i is that
+    step on the piece, so f and g are constant together.  Where f is the
+    same at both ends it is constant, and indices a+1..b contribute one
+    unit: one run of count b - a, a 2-mass (r, y) unit, or a 1-mass y + r
+    unit where a gap is 0.  On any other piece f is not constant, and then
+    the piece is short: a linear integer function that is not constant
+    moves by at least 1 per index, and f stays in [0, q_r + 1],
+    q_r = (n+1) // (m+2), so b - a <= q_r + 1.  So such a piece adds at most
+    min(m, (n+1)/(m+2) + 1) indices, written token by token, and the
+    placement is built in O(runs) whatever n and m.
 
     No self-check follows the merge: with b shared slots the counts of
     (y, r, y + r) are (m - b, m + 1 - b, b), so the budget is
@@ -99,48 +113,36 @@ def build_duo(inst: Instance) -> Placement:
     r, y = inst.r, inst.y
     if r == 0:
         raise ValidationError("no leftover mass; use solve_continuous_integer")
-    # 0-based slots, the running sums of each layer's parts less one, in
-    # the order r_0, y_0, r_1, ..., y_{m-1}, r_m
-    y_short, y_long = _part_ends(m + 1, n + 1, -1)
-    r_short, r_long = _part_ends(m + 2, n + 1, -1)
-    slots = [0] * (2 * m + 1)
-    slots[::2] = [*r_short, *r_long]
-    slots[1::2] = [*y_short, *y_long]
-    # each slot's code into (y, r, y + r), or 3 for a slot that is the one before it
-    kinds = bytearray(b"\1\0" * m + b"\1")
-    # slot 2i + offset against the next: y_i - r_i (offset 0) and
-    # r_{i+1} - y_i (offset 1) change slope only where y_i, r_i or r_{i+1}
-    # changes step, after the last short part of its layer
-    y_bend, r_bend = len(y_short) - 1, len(r_short) - 1
-    nodes = sorted(i for i in {0, m - 1, y_bend, r_bend, r_bend - 1} if 0 <= i < m)
-    for offset in (0, 1):
-        for a, b in _shared_runs(slots, offset, nodes):
-            kinds[2 * a + offset:2 * b + offset + 1:2] = b"\2" * (b - a + 1)
-            kinds[2 * a + offset + 1:2 * b + offset + 2:2] = b"\3" * (b - a + 1)
-    return (tuple(itertools.compress(slots, kinds.translate(_KEPT))), (y, r, y + r),
-            tuple(kinds.translate(None, b"\3")))
+    q_y, s_y = divmod(n + 1, m + 1)
+    q_r, s_r = divmod(n + 1, m + 2)
+    cy, cr = m + 1 - s_y, m + 2 - s_r
 
+    def around(i: int) -> tuple[int, int, int, int]:
+        # the slots y_{i-1}, r_i, y_i, r_{i+1}; y_{-1} is slot -1
+        y_at = i * q_y - 1 + (i - cy if i > cy else 0)
+        r_at = (i + 1) * q_r - 1 + (i + 1 - cr if i >= cr else 0)
+        return (y_at, r_at, y_at + q_y + (i >= cy), r_at + q_r + (i + 1 >= cr))
 
-# selects the slots whose kind (in `build_duo`) is not 3
-_KEPT = bytes([1, 1, 1, 0]) + bytes(252)
+    def unit(y_last: int, r_i: int, y_i: int, r_next: int) -> tuple[tuple[int, int], ...]:
+        # the tokens of index i; codes 0, 1, 2 for y, r, y + r, and r_i is
+        # left out when it is y_{i-1}
+        if r_i == y_i:
+            return ((r_i - y_last - 1, 2),)
+        return ((r_i - y_last - 1, 1),) * (r_i > y_last) + ((y_i - r_i - 1, 0 if r_next > y_i else 2),)
 
-
-def _shared_runs(slots: list[int], offset: int, nodes: list[int]) -> list[tuple[int, int]]:
-    """The runs (a, b) of ascending ``nodes`` such that slot 2i + offset
-    equals the next slot for every i from node a through node b.  The gap
-    between the two is nonnegative and linear in i between neighbouring
-    nodes, so it vanishes on a whole piece when it vanishes at both ends,
-    and otherwise at most at an end."""
-    runs: list[tuple[int, int]] = []
-    previous = None
-    for k in nodes:
-        if slots[2 * k + offset] == slots[2 * k + offset + 1]:
-            if runs and runs[-1][1] == previous:
-                runs[-1] = (runs[-1][0], k)
-            else:
-                runs.append((k, k))
-        previous = k
-    return runs
+    # the y-step grows after index m - s_y, the r-step after m + 1 - s_r;
+    # g reads the r-step one index later
+    nodes = sorted(i for i in {0, m - 1, m - s_y, m + 1 - s_r, m - s_r} if 0 <= i < m)
+    ends = [around(i) for i in nodes]
+    pieces = [(unit(*ends[0]), 1)] if m else []
+    for a, b, (_, ra, ya, _), end in zip(nodes, nodes[1:], ends, ends[1:]):
+        if ya - ra == end[2] - end[1]:  # f, and so g, constant on a..b
+            pieces.append((unit(*end), b - a))
+        else:
+            pieces += [(unit(*around(i)), 1) for i in range(a + 1, b + 1)]
+    y_last, r_m, _, _ = around(m)
+    pieces.append((((r_m - y_last - 1, 1),), int(r_m > y_last)))
+    return _packed(pieces), (y, r, y + r)
 
 
 def solve_continuous(inst: Instance) -> SolveReport:

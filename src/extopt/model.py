@@ -6,12 +6,17 @@ are refused on input so that decimal data like "2.2" never picks up rounding
 noise (floats belong to the numerical oracle only).
 
 A solution travels from the solver to the JSON writer as a `Placement`, the
-nonzero entries of its length-n vector in column form ``(at, values, codes)``:
-``at`` holds the ascending indices of the masses, ``values`` the few value
-objects they take (x, r, y, y + r, ...) and ``codes`` one small int per mass,
-so that mass j is ``values[codes[j]]``.  A consumer does its per-value work
-(scaling, formatting) once per entry of ``values`` and reads the masses
-through ``codes``, with no per-mass tuple, ``id()`` or dict lookup.
+nonzero entries of its length-n vector as runs of a repeated unit,
+``(runs, values)``.  ``values`` holds the few value objects the masses take
+(x, r, y, y + r, ...).  Each run is ``(unit, count)``: the unit is a tuple of
+``(zeros, code)`` tokens, each meaning ``zeros`` zero entries and then the
+mass ``values[code]``, and it repeats ``count`` times; zeros fill the vector
+after the last run to length n.  The solvers' placements are near-periodic,
+so a dense one is a handful of runs whatever n and m, and building, scoring
+(`_shortfall` scans a few repetitions per run) and writing it cost
+O(runs) Python.  Only `_materialize` (the n-vector) and `_prefix` (the
+n + 1 prefix sums that `verify` reads) expand the runs, in C-speed slice
+and repeat operations.
 """
 
 from __future__ import annotations
@@ -27,9 +32,13 @@ from .errors import StabilityError, TrivialRegimeError, ValidationError
 
 RationalLike = Union[Fraction, int, str]
 
-# the nonzero entries of a length-n vector as (at, values, codes): mass j sits
-# at index at[j], ascending, and is values[codes[j]], a positive Fraction
-Placement = tuple[Sequence[int], Sequence[Fraction], Sequence[int]]
+# the nonzero entries of a length-n vector as (runs, values).  A run is
+# (unit, count): the unit, a tuple of (zeros, code) tokens, each `zeros`
+# zero entries and then the mass values[code], a positive Fraction, is
+# written count times; zeros fill the vector after the last run to length n
+Token = tuple[int, int]
+Run = tuple[tuple[Token, ...], int]
+Placement = tuple[tuple[Run, ...], tuple[Fraction, ...]]
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -173,38 +182,96 @@ def _scaled(v: Iterable[RationalLike], x: RationalLike) -> tuple[Placement, list
     return (placed, *_prefix(len(vec), placed, _positive(x)))
 
 
-def _widths(n: int, at: Sequence[int]) -> list[int]:
-    """Run widths z_j + 1 of a length-n vector whose K masses sit at the
-    ascending indices ``at``: z_j is the number of zeros between mass j and
-    mass j+1 (before the first mass for j = 0, after the last for j = K)."""
-    return list(map(operator.sub, [*at, n], [-1, *at]))
+def _packed(pieces: Iterable[Run]) -> tuple[Run, ...]:
+    """The runs of the (unit, count) ``pieces`` written one after another:
+    a piece of count 0 is dropped, one that repeats the unit before it adds
+    to that run's count, and single repetitions next to each other join
+    into one unit."""
+    runs: list[Run] = []
+    for unit, count in pieces:
+        if not count:
+            continue
+        if runs and runs[-1][0] == unit:
+            runs[-1] = (unit, runs[-1][1] + count)
+        elif runs and count == 1 == runs[-1][1]:
+            runs[-1] = (runs[-1][0] + unit, 1)
+        else:
+            runs.append((unit, count))
+    return tuple(runs)
 
 
-def _runs(vals: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Split nonnegative entries into their K nonzero masses and the K+1 run
-    widths of `_widths`."""
-    at = list(itertools.compress(range(len(vals)), vals))
-    return list(filter(None, vals)), _widths(len(vals), at)
+def _grouped(at: Iterable[int], codes: Iterable[int]) -> tuple[Run, ...]:
+    """The runs of the masses at the ascending indices ``at`` with ``codes``:
+    each mass is a one-token unit, and equal neighbouring tokens (as many
+    zeros before the same code) make one run."""
+    at = list(at)
+    zeros = [i - previous - 1 for previous, i in zip([-1, *at], at)]
+    return tuple(((token,), len(list(group)))
+                 for token, group in itertools.groupby(zip(zeros, codes)))
 
 
-def _shortfall(masses: Sequence[int], widths: Sequence[int], x: int) -> int:
-    """Sum of (x - interval sum)^+ over all intervals, from the run widths of `_widths`.
+def _length(runs: Iterable[Run]) -> int:
+    """The number of entries the runs span, up to their last mass."""
+    return sum([count * (len(unit) + sum([zeros for zeros, _ in unit])) for unit, count in runs])
 
-    An interval inside zero run j falls short by x, and the run holds
-    z_j(z_j+1)/2 of them.  Every other interval has a first mass a and a
-    last mass b; it can start anywhere in the z_{a-1}+1 slots ending at mass
-    a and end anywhere in the z_b+1 slots starting at mass b, and it falls
-    short by x - S_ab, where S_ab is the sum of masses a..b.  Masses are
-    positive, so the scan from each a stops at the first saturated b, and a
-    mass of at least x saturates at b = a: only the masses below x start a
-    scan.  The cost is O(U*L) in Python for U masses below x and L masses
-    before saturation, plus C-speed passes over the K masses, whatever the
-    number of zeros.
+
+def _shortfall(n: int, runs: Sequence[Run], table: Sequence[int], x: int) -> int:
+    """Sum of (x - interval sum)^+ over all intervals of the length-n vector
+    whose nonzero entries are ``runs``, mass code c standing for ``table[c]``.
+
+    Written out, the vector is masses M_1..M_K with z_j zeros before M_j and
+    z_{K+1} after M_K.  An interval inside one zero stretch falls short by
+    x, and a stretch of z zeros holds z(z+1)/2 of them.  Every other
+    interval has a first mass a and a last mass b; it can start anywhere in
+    the z_a + 1 slots ending at M_a and end anywhere in the z_{b+1} + 1
+    slots starting at M_b, and it falls short by x - S_ab, where S_ab is
+    the sum of M_a..M_b.  Masses are positive, so the scan from each a
+    stops at the first saturated b, and a mass of at least x saturates at
+    b = a: only the masses below x start a scan.
+
+    The scans run on a shortened token list.  A run of count c whose unit
+    holds mass U keeps c' = min(c, k + 2) repetitions, k = ceil(x / U).
+    Every mass is positive, so any k whole repetitions hold k*U >= x: a
+    scan from a mass in repetition j saturates within repetitions j..j+k,
+    and the widths it reads (each right of a mass it passes) lie there too.
+    For j + k <= c that is inside the run, and since the repetitions are
+    equal the scan adds what the scan from repetition 1 adds.  So when
+    c' < c the first c - k - 1 = c - c' + 1 repetitions scan alike and the
+    first kept one stands for all of them, its starts weighted c - c' + 1
+    (folded into ``left``); the other k + 1 kept ones are the last k + 1 of
+    the run, followed by the same entries.  A scan that enters the run from
+    before saturates within its first k repetitions, all kept.  The zero
+    stretches are counted in full, count times the unit's sum of z(z+1).
+    The cost is O(tokens) to shorten, then O(U*L) in Python for U kept
+    masses below x and L masses before saturation, whatever n and m.
     """
-    total = x * (sum(map(operator.mul, widths, widths)) - sum(widths)) // 2
+    tokens: list[Token] = []
+    cut = []  # (first token, unit, repetitions left out) of each shortened run
+    for unit, count in runs:
+        # c' >= 3, so a run of at most 3 repetitions keeps them all
+        if count > 3:
+            kept = min(count, -(-x // sum([table[code] for _, code in unit])) + 2)
+            if kept < count:
+                cut.append((len(tokens), unit, count - kept))
+                count = kept
+        tokens += unit * count
+    masses = [table[code] for _, code in tokens]
+    widths = [zeros + 1 for zeros, _ in tokens]
+    lefts = widths[:]
+    end = sum(widths)
+    zero_pairs = sum(map(operator.mul, widths, widths)) - end
+    for at, unit, more in cut:
+        unit_widths = widths[at:at + len(unit)]
+        lefts[at:at + len(unit)] = [(more + 1) * width for width in unit_widths]
+        span = sum(unit_widths)
+        end += more * span
+        zero_pairs += more * (sum(map(operator.mul, unit_widths, unit_widths)) - span)
+    tail = n - end + 1
+    widths.append(tail)
+    total = x * (zero_pairs + tail * tail - tail) // 2
     k = len(masses)
     for a in itertools.compress(range(k), map(operator.gt, itertools.repeat(x), masses)):
-        left = widths[a]
+        left = lefts[a]
         room = x
         for b in range(a, k):
             room -= masses[b]
@@ -215,45 +282,48 @@ def _shortfall(masses: Sequence[int], widths: Sequence[int], x: int) -> int:
 
 
 def _materialize(n: int, placed: Placement) -> tuple[Fraction, ...]:
-    """The length-n vector whose nonzero entries are ``placed``."""
-    at, values, codes = placed
+    """The length-n vector whose nonzero entries are ``placed``: each token
+    of a run is stored into its every repetition by one slice assignment."""
+    runs, values = placed
     entries = [Fraction(0)] * n
-    for i, code in zip(at, codes):
-        entries[i] = values[code]
+    start = 0
+    for unit, count in runs:
+        span = sum(zeros + 1 for zeros, _ in unit)
+        stop = start + span * count
+        at = start
+        for zeros, code in unit:
+            at += zeros
+            entries[at:stop:span] = [values[code]] * count
+            at += 1
+        start = stop
     return tuple(entries)
 
 
 def _placement(vec: Sequence[RationalLike]) -> Placement:
     """The `Placement` of the candidate vector ``vec``, validated as by
     `service_vector`: its values are the distinct nonzero entry objects, each
-    tested for zero once."""
+    tested for zero once, and its runs the masses' grouped tokens."""
     ids, values, _ = _entries(tuple(vec))
     nonzero = {key: e for key, e in values.items() if e}
     coded = list(map(dict(zip(nonzero, range(len(nonzero)))).get, ids))
     held = list(map(operator.is_not, coded, itertools.repeat(None)))
-    return (tuple(itertools.compress(range(len(coded)), held)), tuple(nonzero.values()),
-            tuple(itertools.compress(coded, held)))
-
-
-def _scaled_placement(
-    n: int, placed: Placement, x: Fraction
-) -> tuple[list[int], list[int], int, int]:
-    """The masses of ``placed`` and x as integers over one common denominator,
-    with the run widths of the length-n vector: (masses, widths, x, denom).
-
-    Each entry of ``values`` is scaled once and the masses are read through
-    ``codes``; the cost is O(masses), whatever n.
-    """
-    at, values, codes = placed
-    denom, (xs, *table) = _common(x, *values)
-    return [table[code] for code in codes], _widths(n, at), xs, denom
+    return (_grouped(itertools.compress(range(len(coded)), held), itertools.compress(coded, held)),
+            tuple(nonzero.values()))
 
 
 def _prefix(n: int, placed: Placement, x: Fraction) -> tuple[list[int], int, int]:
     """(prefix, x, denom): the n + 1 prefix sums of the length-n vector whose
     nonzero entries are ``placed``, and x, as integers over one denominator."""
-    masses, widths, xs, denom = _scaled_placement(n, placed, x)
-    # run j of `_widths` repeats the sum of the first j masses
+    runs, values = placed
+    denom, (xs, *table) = _common(x, *values)
+    masses: list[int] = []
+    widths: list[int] = []
+    for unit, count in runs:
+        masses += [table[code] for _, code in unit] * count
+        widths += [zeros + 1 for zeros, _ in unit] * count
+    widths.append(n + 1 - sum(widths))
+    # the sum of the first j masses repeats once per slot from mass j to
+    # the slot before mass j + 1
     sums = itertools.accumulate(masses, initial=0)
     return list(itertools.chain.from_iterable(map(itertools.repeat, sums, widths))), xs, denom
 
@@ -261,8 +331,9 @@ def _prefix(n: int, placed: Placement, x: Fraction) -> tuple[list[int], int, int
 def _eval_placed(n: int, placed: Placement, x: Fraction) -> Fraction:
     """`eval_f` of the length-n vector whose nonzero entries are the
     `Placement` ``placed``, for a positive Fraction x."""
-    masses, widths, xs, denom = _scaled_placement(n, placed, x)
-    return Fraction(_shortfall(masses, widths, xs), denom)
+    runs, values = placed
+    denom, (xs, *table) = _common(x, *values)
+    return Fraction(_shortfall(n, runs, table, xs), denom)
 
 
 def eval_f(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
@@ -292,10 +363,11 @@ def strict_pair_sum(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
     """
     vec = tuple(v)
     n = len(vec)
-    masses, widths, xs, denom = _scaled_placement(n, _placement(vec), _positive(x))
-    below = list(itertools.compress(masses, map(operator.gt, itertools.repeat(xs), masses)))
-    singles = xs * (n - len(masses) + len(below)) - sum(below)
-    return Fraction(_shortfall(masses, widths, xs) - singles, denom)
+    runs, values = _placement(vec)
+    denom, (xs, *table) = _common(_positive(x), *values)
+    # x per zero entry and x - min(mass, x) per mass
+    singles = xs * n - sum(count * min(table[code], xs) for unit, count in runs for _, code in unit)
+    return Fraction(_shortfall(n, runs, table, xs) - singles, denom)
 
 
 def externality_mean(q: QueueParams, n: int, x: RationalLike) -> Fraction:

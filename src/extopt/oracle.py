@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from .certificate import DualCertificate, _check, _greedy_certificate
 from .continuous import solve_continuous
 from .errors import ConstructionError, SizeCapError, ValidationError
-from .model import Instance, _common, _integer, _prefix, _runs, _scaled, _shortfall
+from .model import Instance, _common, _grouped, _integer, _prefix, _scaled, _shortfall
 from .model import eval_f  # noqa: F401  perfbench/tracing.py wraps it under this module
 from .report import CONFIRMED, SolveReport
 
@@ -129,7 +129,9 @@ def brute_force_combinatorial(
                     base[j] = 0
 
     def value(vals: tuple[int, ...]) -> int:
-        return _shortfall(*_runs(vals), x_s)
+        # each mass is its own code: the one at index i is vals[i]
+        at = list(itertools.compress(range(n), vals))
+        return _shortfall(n, _grouped(at, at), vals, x_s)
 
     best = min(placements(), key=lambda vals: (value(vals), vals))
     vector = tuple(Fraction(v, denom) for v in best)

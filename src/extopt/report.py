@@ -11,7 +11,7 @@ from .model import _materialize
 
 if TYPE_CHECKING:  # pragma: no cover
     from .combinatorial import DeltaCertificate, TauPair
-    from .model import Instance
+    from .model import Instance, Placement
 
 PROVEN = "PROVEN"
 CONJECTURED = "CONJECTURED"
@@ -24,9 +24,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 class SolveReport:
     """A solution with its exact objective and solver provenance.
 
-    ``placed`` holds the solution's nonzero entries as a `model.Placement`
-    of three tuples (at, values, codes), so the report stays hashable:
-    mass j sits at index at[j] and is values[codes[j]].  ``vector``, the
+    ``placed`` holds the solution's nonzero entries as a `model.Placement`,
+    nested tuples (runs, values), so the report stays hashable: each run
+    is a unit of (zeros, code) tokens and its count.  ``vector``, the
     length-n tuple, is built from it on first access.  ``status`` is PROVEN
     when a theorem certifies optimality and CONJECTURED when only the
     general duo construction backs it.
@@ -35,7 +35,7 @@ class SolveReport:
     """
 
     instance: "Instance"
-    placed: tuple[tuple[int, ...], tuple[Fraction, ...], tuple[int, ...]]
+    placed: "Placement"
     objective: Fraction
     status: str
     method: str

@@ -315,7 +315,8 @@ def twelfths_grid():
 
 
 def placement(pairs):
-    """The (at, values, codes) placement of ascending (index, value) pairs.
+    """The (runs, values) placement of ascending (index, value) pairs, one
+    run of one one-token unit per mass.
 
     Each distinct value object becomes one entry of ``values``, in order of
     first use, so a value shared by reference stays shared; equal values
@@ -325,15 +326,91 @@ def placement(pairs):
     index = {}
     for _, e in pairs:
         index.setdefault(id(e), (len(index), e))
-    return (tuple(i for i, _ in pairs), tuple(e for _, e in index.values()),
-            tuple(index[id(e)][0] for _, e in pairs))
+    runs, previous = [], -1
+    for i, e in pairs:
+        runs.append((((i - previous - 1, index[id(e)][0]),), 1))
+        previous = i
+    return tuple(runs), tuple(e for _, e in index.values())
+
+
+def masses_of(placed):
+    """(at, masses): the ascending indices and the values of a placement's
+    masses, its runs written out one token at a time."""
+    runs, values = placed
+    at, masses, i = [], [], -1
+    for unit, count in runs:
+        for _ in range(count):
+            for zeros, code in unit:
+                i += zeros + 1
+                at.append(i)
+                masses.append(values[code])
+    return at, masses
+
+
+def expand(n, placed):
+    """The length-n vector of a placement, entry by entry."""
+    v = [Fraction(0)] * n
+    for i, e in zip(*masses_of(placed)):
+        v[i] = e
+    return tuple(v)
+
+
+def mass_count(placed):
+    """The number of masses a placement holds."""
+    return sum(count * len(unit) for unit, count in placed[0])
 
 
 def assert_placement(n, placed):
-    """Check the form of a length-n vector's placement: ascending distinct
-    indices in range, one code per mass, every code naming a positive value."""
-    at, values, codes = placed
-    assert list(at) == sorted(set(at)) and all(0 <= a < n for a in at)
-    assert len(codes) == len(at)
-    assert all(0 <= c < len(values) for c in codes)
-    assert all(values[c] > 0 for c in codes)
+    """Check the form of a length-n vector's placement: each run a nonempty
+    unit of (zeros, code) tokens and a positive count, zeros nonnegative,
+    every code naming a positive value, and the runs within n entries."""
+    runs, values = placed
+    assert type(runs) is tuple and type(values) is tuple
+    for unit, count in runs:
+        assert type(count) is int and count >= 1
+        assert type(unit) is tuple and unit
+        for zeros, code in unit:
+            assert type(zeros) is int and zeros >= 0
+            assert type(code) is int and 0 <= code < len(values) and values[code] > 0
+    at, _ = masses_of(placed)
+    assert not at or at[-1] < n
+
+
+def shortfall_per_mass(n, placed, x) -> Fraction:
+    """f of a placement's vector by the per-mass scan over its masses
+    written out, M_1..M_K with z_j zeros before M_j and z_{K+1} after M_K:
+    the zero stretches add x·z_j(z_j+1)/2, and the scan from each M_a < x
+    adds (z_a + 1)(z_{b+1} + 1)(x − S_ab) for every b with S_ab < x,
+    S_ab the sum of M_a..M_b, stopping at the first saturated b."""
+    at, masses = masses_of(placed)
+    x = Fraction(x)
+    widths = [b - a for a, b in zip([-1, *at], [*at, n])]  # z_j + 1
+    total = x * (sum(w * w for w in widths) - sum(widths)) / 2
+    for a in range(len(masses)):
+        if masses[a] >= x:
+            continue
+        left, room = widths[a], x
+        for b in range(a, len(masses)):
+            room -= masses[b]
+            if room <= 0:
+                break
+            total += left * widths[b + 1] * room
+    return total
+
+
+def gamma_member(inst, delta):
+    """The structured vector with widest gap delta from its definition: an
+    x-mass at the end of each of the first m of the m+1 gaps, the delta-gap
+    first and the other m near-equal, ascending; the leftover at the
+    smallest middle point of the widest stretch, the 1-based slots
+    1..delta−1."""
+    n, x = inst.n, inst.x
+    m, r = divmod(inst.w, x)
+    v = [Fraction(0)] * n
+    q, s = divmod(n + 1 - delta, m) if m else (0, 0)
+    gaps = [delta] + [q] * (m - s) + [q + 1] * s
+    for end in itertools.accumulate(gaps[:m]):
+        v[end - 1] = x
+    if r:
+        v[(1 + delta - 1) // 2 - 1] = r
+    return tuple(v)

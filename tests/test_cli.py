@@ -272,6 +272,39 @@ class TestSweep:
                                   n_from=1, n_to=10**12, cap=None)
         assert _sweep_rows(args) == []
 
+    def test_cap_is_checked_before_any_row_is_built(self, capsys, tmp_path, monkeypatch):
+        # two rows for each n up to 10^12: the closed-form count exceeds
+        # the cap before any row or loop over n
+        def short_range(*bounds):
+            span = range(*bounds)
+            assert len(span) <= 100, f"a loop over {len(span)} values"
+            return span
+
+        monkeypatch.setattr(cli, "range", short_range, raising=False)
+        out_path = tmp_path / "t.csv"
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--n-from", "1", "--n-to", "1000000000000", "-x", "1",
+            "--w-from", "2", "--w-to", "3", "--w-step", "1", "--output", str(out_path),
+        )
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == "" and "exceed 100000 instances" in err
+        assert not out_path.exists()
+
+    def test_cap_counts_rows_of_a_growing_n_range(self):
+        # x far below the step: each n adds about n/1000 rows, so the count
+        # passes the cap near n = 14,000 and stops there
+        args = argparse.Namespace(x="1/1000", w_from="1", w_to="1000000", w_step="1",
+                                  n_from=1, n_to=10**12, cap=None)
+        started = time.perf_counter()
+        with pytest.raises(SizeCapError):
+            _sweep_rows(args)
+        assert time.perf_counter() - started < 1
+        args.n_to = 14000
+        rows = _sweep_rows(args)
+        assert len(rows) == sum(max(0, -(-n // 1000) - 1) for n in range(1, 14001)) <= 100_000
+
     def test_with_oracle_column(self, capsys, tmp_path):
         out_path = tmp_path / "oracle.csv"
         code, _, _ = run_cli(

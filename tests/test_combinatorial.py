@@ -468,8 +468,9 @@ class TestSolveCombinatorial:
         original = combinatorial._gamma_placed
 
         def shifted(i, delta):
-            at, values, codes = original(i, delta)
-            return tuple(j + shift for j in at), values, codes
+            # the one mass is one token: move it by its zeros before
+            ((((zeros, code),), count),), values = original(i, delta)
+            return ((((zeros + shift, code),), count),), values
 
         monkeypatch.setattr(combinatorial, "_gamma_placed", shifted)
         with pytest.raises(ConstructionError):

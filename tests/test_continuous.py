@@ -25,7 +25,8 @@ from extopt.continuous import (
 )
 from extopt.model import _materialize, as_rational, eval_f_row
 from helpers import (
-    assert_placement, bisect_f, duo_layers, placement, random_lambda_member, twelfths_grid,
+    assert_placement, bisect_f, duo_layers, expand, masses_of, placement, random_lambda_member,
+    twelfths_grid,
 )
 
 F = Fraction
@@ -166,10 +167,13 @@ def added(i):
 
 
 def built(i):
-    # the vector of `build_duo`'s placement, checked for form
+    # the vector of `build_duo`'s placement, checked for form and written
+    # out by the runs' slices and token by token alike
     placed = build_duo(i)
     assert_placement(i.n, placed)
-    return _materialize(i.n, placed)
+    vector = _materialize(i.n, placed)
+    assert vector == expand(i.n, placed)
+    return vector
 
 
 def gaps(layer):
@@ -182,7 +186,8 @@ class TestBuildDuo:
     def test_paper_vector(self):
         i = inst(7, 1, "2.2")
         # values (y, r, y + r): slot 1 is shared, so it holds y + r = x
-        assert build_duo(i) == ((1, 3, 4, 5), (F(4, 5), F(1, 5), F(1)), (2, 1, 0, 1))
+        # one run, written once: y + r at slot 1, then r, y, r at 3, 4, 5
+        assert build_duo(i) == (((((1, 2), (1, 1), (0, 0), (0, 1)), 1),), (F(4, 5), F(1, 5), F(1)))
         assert built(i) == added(i) == (0, 1, 0, F(1, 5), F(4, 5), F(1, 5), 0)
         v_y, v_r = duo_layers(i)
         assert gaps(v_y) == (2, 3, 3)
@@ -206,10 +211,12 @@ class TestBuildDuo:
             if not 0 < w < n * x:
                 continue
             i = inst(n, x, w)
-            _, values, codes = build_duo(i)
+            placed = build_duo(i)
             assert built(i) == added(i)
-            assert sum((values[c] for c in codes), F(0)) == i.w
-            assert all(0 < values[c] <= i.x for c in codes)
+            _, masses = masses_of(placed)
+            assert sum(masses, F(0)) == i.w
+            assert all(0 < e <= i.x for e in masses)
+            assert placed[1] == (i.y, i.r, i.x)
             v_y, v_r = duo_layers(i)
             assert sum(v_y, F(0)) == i.m * i.y
             assert sum(v_r, F(0)) == (i.m + 1) * i.r

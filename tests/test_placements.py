@@ -7,13 +7,21 @@ import io
 import itertools
 import json
 import math
+import random
+import sys
+import tracemalloc
+
+import pytest
 
 from extopt import ConstructionError, Instance, eval_f, solve_combinatorial, solve_continuous
-from extopt.cli import main
-from extopt.combinatorial import _gamma_placed, build_gamma_member
-from extopt.continuous import build_duo
+from extopt.cli import _dumps, _vec, main
+from extopt.combinatorial import _gamma_placed, a_value, build_gamma_member
+from extopt.continuous import build_duo, minimum
 from extopt.model import _materialize, _prefix, as_rational
-from helpers import assert_placement, duo_layers, naive_f, placement, twelfths_grid
+from helpers import (
+    assert_placement, duo_layers, expand, gamma_member, mass_count, naive_f, placement,
+    twelfths_grid,
+)
 
 F = Fraction
 
@@ -62,9 +70,11 @@ def combinatorial_grids():
 class TestGammaPlacement:
     def test_materializes_to_the_member(self):
         # the scoring reads the placement alone: it must hold exactly the
-        # member's nonzero entries, in ascending order
+        # entries of the member built from the definition
         built = 0
-        for i in combinatorial_grids():
+        grid = itertools.chain(combinatorial_grids(),
+                               (Instance(*case) for case in twelfths_grid()))
+        for i in grid:
             for delta in range(1, i.n + 2):
                 try:
                     member = build_gamma_member(i, delta)
@@ -72,9 +82,9 @@ class TestGammaPlacement:
                     continue
                 placed = _gamma_placed(i, delta)
                 assert_placement(i.n, placed)
-                assert _materialize(i.n, placed) == _materialize(i.n, nonzero(member))
+                assert member == expand(i.n, placed) == gamma_member(i, delta)
                 built += 1
-        assert built > 200
+        assert built > 2000
 
 
 class TestLargePlacements:
@@ -103,12 +113,115 @@ class TestLargePlacements:
             for solve in (solve_continuous, solve_combinatorial):
                 placed = solve(i).placed
                 assert_placement(i.n, placed)
-                assert len(placed[1]) <= 4 and len(placed[0]) >= 2500
+                assert len(placed[1]) <= 4 and mass_count(placed) >= 2500
+                assert len(placed[0]) <= 8
             for domain in ("continuous", "combinatorial"):
                 calls.clear()
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = main(["solve", "--domain", domain, "-n", "10000", "-x", "1", "-w", w])
                 assert code == 0 and len(calls) <= 10, (w, domain, len(calls))
+
+
+
+def seeded_instances(seed, count, n_max, density=None):
+    # (n, m) drawn at random, m/n in `density` when given, r in twelfths of x
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, n_max)
+        lo, hi = density or (0, 1)
+        m = rng.randint(math.ceil(lo * n), min(math.floor(hi * n), n - 1))
+        yield Instance(n, F(1), m + F(rng.randint(0, 11), 12))
+
+
+class TestRuns:
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+    def test_builders_match_the_references_at_large_n(self, n):
+        # the run form written out token by token is the layers' sum and
+        # the member by its definition, sparse and dense alike
+        rng = random.Random(n)
+        for m in (0, 1, 3, n // 4, n // 3 + 1, n // 2, rng.randint(0, n - 1)):
+            i = Instance(n, F(1), m + F(rng.randint(1, 11), 12))
+            duo = build_duo(i)
+            assert_placement(n, duo)
+            assert expand(n, duo) == tuple(map(sum, zip(*duo_layers(i))))
+            report = solve_combinatorial(i)
+            assert_placement(n, report.placed)
+            assert expand(n, report.placed) == gamma_member(i, report.delta_star)
+
+    def test_dense_placements_are_a_few_runs(self):
+        for i in seeded_instances(71, 300, 20000, (F(1, 4), F(1, 2))):
+            for solve in (solve_continuous, solve_combinatorial):
+                assert len(solve(i).placed[0]) <= 8, i
+
+    def test_runs_stay_within_the_piece_bound(self):
+        # pieces of the duo that do not repeat are at most
+        # min(m, (n+1)/(m+2) + 1) indices long, two tokens each; the four
+        # pieces, their units, the first index and the last r add 11 tokens
+        for i in seeded_instances(73, 1500, 10**5):
+            bound = 5 * min(i.m, (i.n + 1) / (i.m + 1)) + 8
+            pieces = 8 * min(i.m, (i.n + 1) // (i.m + 2) + 1) + 11
+            for solve in (solve_continuous, solve_combinatorial):
+                runs = solve(i).placed[0]
+                assert len(runs) <= bound, i
+                assert sum(len(unit) for unit, _ in runs) <= pieces, i
+
+    def test_solve_builds_and_scores_in_runs(self, monkeypatch):
+        # at n = 10^9 only the expanders could build an n-slot list, and
+        # they are refused: building and scoring a dense solve allocate a
+        # few kilobytes
+        def refused(*args):
+            raise AssertionError("the placement was expanded")
+
+        for module in ("model", "report", "combinatorial", "oracle"):
+            monkeypatch.setattr(f"extopt.{module}._materialize", refused, raising=False)
+            monkeypatch.setattr(f"extopt.{module}._prefix", refused, raising=False)
+        n = 10**9
+        for w in (F(n // 3) + F(1, 3), F(n // 2) - F(5, 12), F(n // 4)):
+            i = Instance(n, F(1), w)
+            for solve in (solve_continuous, solve_combinatorial):
+                tracemalloc.start()
+                try:
+                    report = solve(i)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 100_000, (w, solve.__name__, peak)
+                assert report.objective == (minimum(i) if solve is solve_continuous
+                                            else a_value(i, report.delta_star))
+
+    def test_python_work_of_a_solve_does_not_grow_with_n(self, monkeypatch):
+        # build, score and write the same shape at n and 1000 n: the lines
+        # Python runs stay the same in number, and only C repeats the text
+        def refused(*args):
+            raise AssertionError("the placement was expanded")
+
+        for module in ("model", "report", "combinatorial"):
+            monkeypatch.setattr(f"extopt.{module}._materialize", refused)
+        monkeypatch.setattr("extopt.model._prefix", refused)
+
+        def lines_run(n, w, solve):
+            count = 0
+
+            def tracer(frame, event, arg):
+                nonlocal count
+                count += event == "line"
+                return tracer
+
+            i = Instance(n, F(1), w)
+            sys.settrace(tracer)
+            try:
+                text = _dumps({"vector": _vec(n, solve(i).placed)})
+            finally:
+                sys.settrace(None)
+            return count, text
+
+        for solve in (solve_continuous, solve_combinatorial):
+            small, text = lines_run(1200, F(400) + F(1, 2), solve)
+            large, _ = lines_run(1_200_000, F(400_000) + F(1, 2), solve)
+            assert large <= 2 * small + 200, (solve.__name__, small, large)
+            report = solve(Instance(1200, F(1), F(400) + F(1, 2)))
+            vector = expand(1200, report.placed)
+            assert text == json.dumps({"vector": [str(e) for e in vector]}, indent=2)
 
 
 class TestLazyVector:
@@ -156,6 +269,8 @@ class TestPrefix:
 
     def test_edge_placements(self):
         third = F(1, 3)
+        thirds_then_pairs = ((((0, 0),), 3), (((1, 1), (0, 0)), 2))
+        pairs_then_one = ((((1, 0), (0, 1)), 3), (((0, 1),), 1))
         cases = [
             (5, placement([]), F(3, 7)),  # no mass: n + 1 zeros
             (1, placement([(0, F(5, 2))]), F(1)),
@@ -163,13 +278,21 @@ class TestPrefix:
             (6, placement([(1, third), (2, third), (5, third)]), F(2, 5)),  # one object repeated
             # equal values held as distinct objects, as y and r at r = x/2
             (5, placement([(0, F(1, 2)), (2, F(1, 2)), (4, F(1))]), F(1)),
+            # 1/3 three times, then (0, 1/2, 1/3) twice, with no zero after
+            (9, (thirds_then_pairs, (third, F(1, 2))), F(1)),
+            # a 2-token unit three times and one token, then two zeros
+            (12, (pairs_then_one, (F(1, 4), F(3, 4))), F(1, 2)),
         ]
         for n, placed, x in cases:
             assert_placement(n, placed)
-            assert _prefix(n, placed, x) == scaled_prefix(_materialize(n, placed), x)
-        assert cases[3][1] == ((1, 2, 5), (third,), (0, 0, 0))
-        assert cases[4][1][1:] == ((F(1, 2), F(1, 2), F(1)), (0, 1, 2))
+            assert _materialize(n, placed) == expand(n, placed)
+            assert _prefix(n, placed, x) == scaled_prefix(expand(n, placed), x)
+        assert cases[3][1] == (((((1, 0),), 1), (((0, 0),), 1), (((2, 0),), 1)), (third,))
+        assert cases[4][1][1] == (F(1, 2), F(1, 2), F(1))
+        assert expand(9, cases[5][1]) == (third,) * 3 + (0, F(1, 2), third) * 2
+        assert expand(12, cases[6][1]) == (0, F(1, 4), F(3, 4)) * 3 + (F(3, 4), 0, 0)
         assert _prefix(5, placement([]), F(3, 7)) == ([0] * 6, 3, 7)
         assert _prefix(4, placement([(0, F(1, 2)), (3, third)]), F(1)) == ([0, 3, 3, 3, 5], 6, 6)
         assert _prefix(6, placement([(1, third), (2, third), (5, third)]), F(2, 5)) == (
             [0, 0, 5, 10, 10, 10, 15], 6, 15)
+        assert _prefix(9, cases[5][1], F(1)) == ([0, 2, 4, 6, 6, 9, 11, 11, 14, 16], 6, 6)

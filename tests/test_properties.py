@@ -16,7 +16,9 @@ from extopt.continuous import minimum
 from extopt.model import (
     _eval_placed, _materialize, _placement, as_rational, service_vector, strict_pair_sum,
 )
-from helpers import assert_placement, naive_f, naive_strict_pairs, placement
+from helpers import (
+    assert_placement, expand, masses_of, naive_f, naive_strict_pairs, placement, shortfall_per_mass,
+)
 
 F = Fraction
 
@@ -149,6 +151,52 @@ def test_placement_kernel_matches_the_naive_sums(case):
     assert strict_pair_sum(vec, x) == naive_strict_pairs(vec, x)
 
 
+@st.composite
+def run_placements(draw, max_n=14):
+    """(n, placed, x): up to four runs of 1-3 token units over a pool of
+    values: masses of at least x, masses far below x (scans over many
+    repetitions), and others; each count 1, 2 or near c' = ceil(x/U) + 2
+    for the unit's mass U, cut so the runs fit in n <= max_n entries, and
+    n often just past the last mass (scans that reach the vector's end)."""
+    x = draw(positive_rationals)
+    pool = (x, x + draw(masses), x / draw(st.integers(2, 8)), x / draw(st.integers(20, 60)),
+            x * draw(st.integers(1, 7)) / 8, draw(masses))
+    runs, length = [], 0
+    for _ in range(draw(st.integers(0, 4))):
+        unit = tuple((draw(st.integers(0, 3)), draw(st.integers(0, len(pool) - 1)))
+                     for _ in range(draw(st.integers(1, 3))))
+        span = sum(zeros + 1 for zeros, _ in unit)
+        kept = math.ceil(x / sum(pool[code] for _, code in unit)) + 2
+        count = draw(st.sampled_from([1, 2, kept - 1, kept, kept + 1, kept + 5]))
+        count = min(count, (max_n - length) // span)
+        if count < 1:
+            break
+        runs.append((unit, count))
+        length += count * span
+    n = min(max_n, max(length, 1) + draw(st.sampled_from([0, 0, 1, 3])))
+    return n, (tuple(runs), pool), x
+
+
+@settings(DERANDOMIZED, max_examples=150)
+@given(case=run_placements())
+def test_runs_score_as_the_per_mass_scan_and_the_naive_sums(case):
+    # the shortened scan of `_shortfall` against today's per-mass scan and
+    # the triple loop over the written-out vector
+    n, placed, x = case
+    assert_placement(n, placed)
+    vec = expand(n, placed)
+    assert _materialize(n, placed) == vec
+    assert _eval_placed(n, placed, x) == shortfall_per_mass(n, placed, x) == naive_f(vec, x)
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@given(case=run_placements(max_n=300))
+def test_long_runs_score_as_the_per_mass_scan(case):
+    # counts far above c', where the scan keeps a few repetitions
+    n, placed, x = case
+    assert _eval_placed(n, placed, x) == shortfall_per_mass(n, placed, x)
+
+
 @DERANDOMIZED
 @given(
     v=st.one_of(sparse_vectors(0, 5), sparse_vectors(1, 40),
@@ -267,9 +315,11 @@ def test_solvers_scale_with_x_and_w(inst, c):
     scaled = Instance(inst.n, c * inst.x, c * inst.w)
     for solve in (solve_continuous, solve_combinatorial):
         base, report = solve(inst), solve(scaled)
-        (at, values, codes), (base_at, base_values, base_codes) = report.placed, base.placed
-        assert at == base_at
-        assert [values[k] for k in codes] == [c * base_values[k] for k in base_codes]
+        (runs, values), (base_runs, base_values) = report.placed, base.placed
+        # the same runs of the same tokens, every value scaled by c
+        assert runs == base_runs
+        assert values == tuple(c * e for e in base_values)
+        assert masses_of(report.placed)[1] == [c * e for e in masses_of(base.placed)[1]]
         assert report.objective == c * base.objective
         assert report.status == base.status
 
@@ -306,20 +356,37 @@ class Level(IntEnum):
     LOW = 1
 
 
+# one run of a 2-token unit and one of a 1-token unit, then zeros
+TWO_RUNS = (11, (((((1, 0), (0, 1)), 2), (((2, 1),), 1)), (F(1, 2), F(-3, 7))), F(1))
+
+
 # a lone scalar is written by its exact type: a bool is not its int, and an
-# int subclass goes to the encoder
+# int subclass goes to the encoder.  A vector of runs is written as its
+# entries, alone, as a dict value and in a list of vectors
 @settings(DERANDOMIZED, max_examples=150)
-@given(payload=st.one_of(payloads, st.dictionaries(texts, payloads, max_size=6)))
-@example(payload=[True, 1, False, 0])
-@example(payload={"t": True, "one": 1, "f": False, "zero": 0, "bits": [1, True, 0, False]})
-@example(payload={"none": None, "nones": [None, {"none": None}]})
-@example(payload=None)
-@example(payload={"big": 2**64, "neg": -(2**200), "bigs": [2**64, {"big": 2**64 + 1}]})
-@example(payload={"level": Level.LOW, "levels": [Level.LOW, 1, True]})
-@example(payload=Level.LOW)
-@example(payload={"é\x00\n\x1f\u2028😀\"\\": "é\t€", "nan": [float("nan"), {"inf": -math.inf}]})
-def test_writer_matches_the_indented_encoder(payload):
+@given(payload=st.one_of(payloads, st.dictionaries(texts, payloads, max_size=6)),
+       case=run_placements(max_n=30), form=st.sampled_from([str, float]))
+@example(payload=[True, 1, False, 0], case=TWO_RUNS, form=str)
+@example(payload={"t": True, "one": 1, "f": False, "zero": 0, "bits": [1, True, 0, False]},
+         case=TWO_RUNS, form=float)
+@example(payload={"none": None, "nones": [None, {"none": None}]}, case=TWO_RUNS, form=str)
+@example(payload=None, case=(1, ((), (F(1),)), F(1)), form=str)  # no mass
+@example(payload={"big": 2**64, "neg": -(2**200), "bigs": [2**64, {"big": 2**64 + 1}]},
+         case=(5, (((((0, 0),), 5),), (F(2),)), F(1)), form=str)  # no zero
+@example(payload={"level": Level.LOW, "levels": [Level.LOW, 1, True]}, case=TWO_RUNS, form=str)
+@example(payload=Level.LOW, case=TWO_RUNS, form=float)
+@example(payload={"é\x00\n\x1f\u2028😀\"\\": "é\t€", "nan": [float("nan"), {"inf": -math.inf}]},
+         case=TWO_RUNS, form=str)
+def test_writer_matches_the_indented_encoder(payload, case, form):
     assert _dumps(payload) == json.dumps(payload, indent=2)
+    n, placed, _ = case
+    entries = [form(e) for e in expand(n, placed)]
+    assert _dumps(_vec(n, placed, form)) == json.dumps(entries, indent=2)
+    written = {"payload": payload, "result": {"vector": _vec(n, placed, form)},
+               "members": [_vec(n, placed, form), [], _vec(n, placed, form)]}
+    plain = {"payload": payload, "result": {"vector": entries},
+             "members": [entries, [], entries]}
+    assert _dumps(written) == json.dumps(plain, indent=2)
 
 
 def _plain(value):
@@ -388,7 +455,7 @@ def test_vector_writer_formats_each_distinct_entry_once():
 
     written = _vec(2000, placed, form)
     assert len(calls) <= 4
-    assert list(written) == [json.dumps(str(e)) for e in _materialize(2000, placed)]
+    assert _dumps(written) == json.dumps([str(e) for e in _materialize(2000, placed)], indent=2)
 
 
 @st.composite
