@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
-from .combinatorial import _gamma_placements, solve_combinatorial
+from .combinatorial import enumerate_gamma, solve_combinatorial
 from .continuous import solve_continuous
 from .errors import (
     SizeCapError,
@@ -51,6 +51,7 @@ from .model import (
     QueueParams,
     _common,
     _length,
+    _placement,
     as_rational,
     externality_mean,
     variance_range,
@@ -101,21 +102,14 @@ def _solve_result(report: SolveReport) -> dict[str, Any]:
     }
     if report.delta_star is not None:
         out["delta_star"] = report.delta_star
+    # each block is the dataclass's fields in their order; `_dumps` writes
+    # the window tuple as a list
     if report.delta_cert is not None:
-        cert = report.delta_cert
-        out["delta_certificate"] = {
-            "delta1": cert.delta1,
-            "delta2": cert.delta2,
-            "delta_star": cert.delta_star,
-            "a_delta1": cert.a_delta1,
-            "a_delta2": cert.a_delta2,
-            "window": list(cert.window),
-            "used_fallback": cert.used_fallback,
-        }
+        out["delta_certificate"] = vars(report.delta_cert)
     if report.tau_main is not None:
-        out["tau"] = {"tau_u": report.tau_main.tau_u, "tau_l": report.tau_main.tau_l}
+        out["tau"] = vars(report.tau_main)
     if report.tau_next is not None:
-        out["tau_next"] = {"tau_u": report.tau_next.tau_u, "tau_l": report.tau_next.tau_l}
+        out["tau_next"] = vars(report.tau_next)
     return out
 
 
@@ -289,8 +283,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     inst.m,
                     inst.r,
                     comb.delta_star,
-                    cont.tau_main.tau_u if cont.tau_main else "",
-                    cont.tau_next.tau_u if cont.tau_next else "",
+                    cont.tau_main.tau_u,
+                    cont.tau_next.tau_u,
                     cont.objective,
                     oracle_field,
                     cont.status,
@@ -337,11 +331,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     comb = solve_combinatorial(inst)
     delta = args.delta if args.delta is not None else comb.delta_star
     cap = args.cap if args.cap is not None else 20
-    members = _gamma_placements(inst, delta, cap)
+    members = enumerate_gamma(inst, delta, cap)
     result = {
         "delta": delta,
         "count": len(members),
-        "members": [_vec(inst.n, placed) for placed in members],
+        "members": [_vec(inst.n, _placement(member)) for member in members],
     }
     status = PROVEN if delta == comb.delta_star else INCONCLUSIVE
     _emit(_envelope("enumerate", _instance_dict(inst), result, status))

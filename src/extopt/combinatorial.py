@@ -10,20 +10,20 @@ of an exact second-difference criterion.
 The gap bounds ``tau`` (a ``TauPair``) and the continuous chord ``minimum``
 live here too, so the structured and continuous solvers share them;
 `extopt.continuous` re-exports all three.  Every solve scores its placement
-and checks it against its closed form (``_scored``).
+and checks it against its closed form (``_scored``); ``enumerate_gamma``
+lists the structured vectors of one widest gap as plain vectors, small n only.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionError, SizeCapError, ValidationError
 from .model import (
-    Instance, Placement, _common, _eval_placed, _grouped, _integer, _materialize, _packed,
+    Instance, Placement, _common, _eval_placed, _integer, _materialize, _packed,
 )
 from .model import eval_f  # noqa: F401  perfbench/tracing.py wraps it under this module
 from .report import PROVEN, SolveReport
@@ -58,29 +58,12 @@ def middle_points(a: int, b: int) -> tuple[int, ...]:
     return tuple(range((a + b) // 2, (a + b + 1) // 2 + 1))
 
 
-def _stretch_middles(a: int, b: int) -> tuple[int, ...]:
-    # middle_points extended to the degenerate single-element range
-    if a == b:
-        return (a,)
-    return middle_points(a, b)
-
-
 def near_equidistant_parts(a: int, b: int) -> tuple[int, ...]:
     """Partition b into a positive parts differing by at most one, ascending."""
     _integer("a", a, 1)
     _integer("b", b, a)
     q, s = divmod(b, a)
     return (q,) * (a - s) + (q + 1,) * s
-
-
-def _part_ends(a: int, b: int, start: int) -> tuple[range, range]:
-    """start plus each running sum of the first a - 1 parts of
-    ``near_equidistant_parts(a, b)``: the ends of the short parts, then
-    those of the long ones, each an arithmetic range."""
-    q, s = divmod(b, a)
-    t = min(a - 1, a - s)  # inner ends of short parts
-    top = start + t * q
-    return range(start + q, top + 1, q), range(top + q + 1, top + (a - 1 - t) * (q + 1) + 1, q + 1)
 
 
 def h(a: int, b: int) -> Fraction:
@@ -221,8 +204,8 @@ def delta_search(inst: Instance) -> DeltaCertificate:
 
 def _gamma_placed(inst: Instance, delta: int) -> Placement:
     """The `Placement` of `build_gamma_member`: values (r, x) when r > 0,
-    else (x,), the leftover first and then the m x-masses, whose gap ends
-    after the first make two runs, the short gaps and the long ones."""
+    else (x,), the leftover first and then the m x-masses, whose gaps after
+    the first make two runs, the short gaps and the long ones."""
     n, m, x, r = inst.n, inst.m, inst.x, inst.r
     _integer("delta", delta, 1)
     if m == 0:
@@ -239,9 +222,9 @@ def _gamma_placed(inst: Instance, delta: int) -> Placement:
         )
     if r > 0 and delta < 2:
         raise ConstructionError("the widest stretch has no slot for the leftover mass")
-    # the x-masses end the first m gaps: 0-based, at delta - 1 plus the
-    # running sums of the remainder gaps, q apart and then q + 1 apart
-    short, long = _part_ends(m, n + 1 - delta, delta - 1)
+    # the x-masses end the first m gaps: the widest, then the first m - 1 of
+    # the remainder gaps, the m - s of width q before the s of width q + 1
+    short = min(m - 1, m - s)
     if r == 0:
         code, values, lead = 0, (x,), ((delta - 1, 0),)
     else:
@@ -249,7 +232,7 @@ def _gamma_placed(inst: Instance, delta: int) -> Placement:
         # widest stretch, slots 1..delta-1, before every x
         j = (delta - 2) // 2
         code, values, lead = 1, (r, x), ((j, 0), (delta - 2 - j, 1))
-    return _packed([(lead, 1), (((q - 1, code),), len(short)), (((q, code),), len(long))]), values
+    return _packed([(lead, 1), (((q - 1, code),), short), (((q, code),), m - 1 - short)]), values
 
 
 def build_gamma_member(inst: Instance, delta: int) -> tuple[Fraction, ...]:
@@ -262,11 +245,6 @@ def build_gamma_member(inst: Instance, delta: int) -> tuple[Fraction, ...]:
 def enumerate_gamma(inst: Instance, delta: int, cap: int = 20) -> list[tuple[Fraction, ...]]:
     """Every structured vector with widest gap delta, deduplicated and in
     lexicographic order.  Bounded by ``cap`` on n to keep the output small."""
-    return [_materialize(inst.n, placed) for placed in _gamma_placements(inst, delta, cap)]
-
-
-def _gamma_placements(inst: Instance, delta: int, cap: int) -> list[Placement]:
-    """The placements of the `enumerate_gamma` members, in its order."""
     n, m, x, r = inst.n, inst.m, inst.x, inst.r
     if n > cap:
         raise SizeCapError(f"n = {n} exceeds the enumeration cap {cap}")
@@ -280,33 +258,29 @@ def _gamma_placements(inst: Instance, delta: int, cap: int) -> list[Placement]:
 
     # a member is the widest-gap slot t plus the s slots of width q+1 among
     # the other m; the remaining gaps are q wide.  With m = 0 the one gap is
-    # the whole stretch
-    seen: set[tuple[tuple[int, ...], int]] = set()
+    # the whole stretch.  When r > 0 the leftover sits at a middle point of
+    # the widest stretch, or at its one slot
+    zero = Fraction(0)
+    members: set[tuple[Fraction, ...]] = set()
     for t in range(m + 1):
         for longs in itertools.combinations([i for i in range(m + 1) if i != t], s):
             gaps = [q] * (m + 1)
             for i in longs:
                 gaps[i] = q + 1
             gaps[t] = delta
-            positions = tuple(itertools.accumulate(gaps[:m]))
-            boundaries = (0,) + positions + (n + 1,)
-            if r > 0:
-                lo, hi = boundaries[t] + 1, boundaries[t + 1] - 1
-                seen.update((positions, j) for j in _stretch_middles(lo, hi))
-            else:
-                seen.add((positions, 0))
-    # distinct (positions, j) keys give distinct vectors, as 0 < r < x; the
-    # leftover's slot j - 1 lies strictly between two x-masses' slots
-    placements = []
-    for positions, j in seen:
-        at = [pos - 1 for pos in positions]
-        if not j:
-            placements.append((_grouped(at, [0] * m), (x,)))
-            continue
-        k = bisect.bisect(at, j - 1)
-        at.insert(k, j - 1)
-        placements.append((_grouped(at, [1] * k + [0] + [1] * (m - k)), (r, x)))
-    return sorted(placements, key=functools.partial(_materialize, n))
+            boundaries = list(itertools.accumulate(gaps, initial=0))  # 0, ..., n + 1
+            vec = [zero] * n
+            for pos in boundaries[1:-1]:
+                vec[pos - 1] = x
+            if r == 0:
+                members.add(tuple(vec))
+                continue
+            lo, hi = boundaries[t] + 1, boundaries[t + 1] - 1
+            for j in middle_points(lo, hi) if lo < hi else (lo,):
+                vec[j - 1] = r
+                members.add(tuple(vec))
+                vec[j - 1] = zero
+    return sorted(members)
 
 
 def _scored(inst: Instance, placed: Placement, expected: Fraction) -> Fraction:

@@ -90,10 +90,6 @@ class VerifyReport:
         return float(self.oracle_value - self.constructed_objective)
 
     @property
-    def oracle_minimizer(self) -> tuple[float, ...]:
-        return tuple(float(e) for e in self.construction.vector)
-
-    @property
     def converged(self) -> bool:
         """Always true: the status rests on exact evidence."""
         return True
@@ -417,19 +413,12 @@ def projected_subgradient(
     )
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    # largest rational g with a/g and b/g integers; a, b > 0
-    common, nums = _common(a, b)
-    return Fraction(math.gcd(*nums), common)
-
-
 def duo_lattice_resolution(inst: Instance) -> int:
     """Lattice resolution (steps per w) that contains the duo construction."""
-    if inst.r == 0:
-        grain = inst.x
-    else:
-        grain = _frac_gcd(inst.y, inst.r)
-    return int(inst.w / grain)
+    # the grain is the largest rational g with y/g and r/g integers; at
+    # r = 0 it is y = x
+    denom, nums = _common(inst.y, inst.r)
+    return int(inst.w * denom / math.gcd(*nums))
 
 
 def verify_conjecture(inst: Instance) -> VerifyReport:

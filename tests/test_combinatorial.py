@@ -26,7 +26,7 @@ from extopt.combinatorial import (
     phi,
 )
 from extopt.model import as_rational
-from helpers import in_upsilon, primes_between
+from helpers import in_upsilon, primes_between, twelfths_grid
 
 F = Fraction
 
@@ -431,31 +431,52 @@ def _is_gamma_member(v, i: Instance, delta: int) -> bool:
     return False
 
 
+def _definition_members(i: Instance) -> dict[int, list[tuple[Fraction, ...]]]:
+    # for each widest gap delta, every structured placement satisfying the
+    # definition, found by filtering the raw candidate space, in
+    # lexicographic order
+    candidates = set()
+    for x_pos in itertools.combinations(range(i.n), i.m):
+        base = [F(0)] * i.n
+        for p in x_pos:
+            base[p] = i.x
+        if i.r > 0:
+            for j in range(i.n):
+                if j in x_pos:
+                    continue
+                cand = list(base)
+                cand[j] = i.r
+                candidates.add(tuple(cand))
+        else:
+            candidates.add(tuple(base))
+    return {delta: sorted(c for c in candidates if _is_gamma_member(c, i, delta))
+            for delta in range(1, i.n + 2)}
+
+
 class TestEnumerateAgainstDefinition:
     @pytest.mark.parametrize(
         "n,x,w", [(7, "1", "2.2"), (8, "1", "3"), (6, "3/7", "10/7"), (9, "1.1", "2.4"), (5, "1", "0.5")]
     )
     def test_matches_definition_filter(self, n, x, w):
-        # every structured placement satisfying the definition, found by
-        # filtering the raw candidate space, must match enumerate_gamma
         i = inst(n, x, w)
-        candidates = []
-        for x_pos in itertools.combinations(range(i.n), i.m):
-            base = [F(0)] * i.n
-            for p in x_pos:
-                base[p] = i.x
-            if i.r > 0:
-                for j in range(i.n):
-                    if j in x_pos:
-                        continue
-                    cand = list(base)
-                    cand[j] = i.r
-                    candidates.append(tuple(cand))
-            else:
-                candidates.append(tuple(base))
-        for delta in range(1, i.n + 2):
-            expected = sorted(c for c in set(candidates) if _is_gamma_member(c, i, delta))
+        for delta, expected in _definition_members(i).items():
             assert enumerate_gamma(i, delta) == expected
+
+    def test_matches_definition_filter_on_a_grid_sample(self):
+        # a seeded sample of the n <= 8 twelfths grid, with an m = 0 instance
+        # and one where every widest stretch is a single slot (n = 5, w = 5/2,
+        # delta = 2: the leftover may sit in any of the three gaps of 2)
+        grid = [case for case in twelfths_grid() if case[0] <= 8]
+        cases = random.Random(31).sample(grid, 200) + [(5, F(1), F(5, 2)), (6, F(3, 7), F(1, 7))]
+        assert any(Instance(*case).m == 0 for case in cases)
+        single = inst(5, 1, "5/2")
+        assert enumerate_gamma(single, 2) == [
+            (0, 1, 0, 1, F(1, 2)), (0, 1, F(1, 2), 1, 0), (F(1, 2), 1, 0, 1, 0),
+        ]
+        for case in cases:
+            i = Instance(*case)
+            for delta, expected in _definition_members(i).items():
+                assert enumerate_gamma(i, delta) == expected, (case, delta)
 
 
 class TestSolveCombinatorial:

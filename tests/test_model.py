@@ -19,8 +19,8 @@ from extopt import (
 )
 from extopt.combinatorial import (
     _gamma_placed,
-    _gamma_placements,
     a_value,
+    enumerate_gamma,
     h,
     middle_points,
     phi,
@@ -345,7 +345,7 @@ INTEGER_ARGUMENTS = [
     ("a_value delta", lambda v: a_value(EXAMPLE, v), 1, 6),
     ("phi delta", lambda v: phi(EXAMPLE, v), 1, 6),
     ("_gamma_placed delta", lambda v: _gamma_placed(EXAMPLE, v), 1, None),
-    ("_gamma_placements delta", lambda v: _gamma_placements(EXAMPLE, v, 20), 1, 8),
+    ("enumerate_gamma delta", lambda v: enumerate_gamma(EXAMPLE, v), 1, 8),
     ("tau n", lambda v: tau(v, 0), 1, None),
     ("tau m", lambda v: tau(7, v), 0, 7),
     ("canonical_gap_profiles n", lambda v: canonical_gap_profiles(v, 0), 1, None),

@@ -633,7 +633,7 @@ class TestVerifyConjecture:
     def test_deterministic(self):
         a = verify_conjecture(inst(6, 1, "1.8"))
         b = verify_conjecture(inst(6, 1, "1.8"))
-        assert (a.status, a.gap, a.oracle_minimizer) == (b.status, b.gap, b.oracle_minimizer)
+        assert (a.status, a.gap, a.construction.placed) == (b.status, b.gap, b.construction.placed)
 
     def test_never_violated_on_proven_instances(self):
         rng = random.Random(3)
