@@ -5,11 +5,11 @@ The payloads hold rationals as Fractions, written as exact "p/q" strings
 so reports round-trip.
 
 Exit codes: 0 success/CONFIRMED, 1 internal error, 2 invalid input or cap
-exceeded, 3 trivial or unstable regime; 4 (INCONCLUSIVE) and 5 (VIOLATED)
-stay reserved.  verify proves the duo construction optimal by an exact
-certificate, so it exits 0, or 1 on a failed self-check.  sweep
---with-oracle writes that certificate's exact bound per row, so no command
-loads numpy.
+exceeded, 3 trivial or unstable regime, 141 stdout closed by its reader;
+4 (INCONCLUSIVE) and 5 (VIOLATED) stay reserved.  verify proves the duo
+construction optimal by an exact certificate, so it exits 0, or 1 on a
+failed self-check.  sweep --with-oracle writes that certificate's exact
+bound per row, so no command loads numpy.
 
 A command line of one exact form, a command name and then ``option value``
 pairs that argparse would accept as they are, is read straight from that
@@ -17,24 +17,31 @@ command's option table (`_read`), which `_build_parsers` makes from the
 parsers' own actions.  Any other command line goes to the full argparse
 parser, which also writes every help text, version and error.
 
-The JSON is written by a walk of the envelope's dicts and lists that sends
-each key and each scalar to its text through one table by exact type (a
-Fraction as its "p/q" string), with no encoder built per value, and writes
-a solution vector run by run from its placement; its bytes equal
-``json.dumps(payload, indent=2)`` with each Fraction replaced by its
-string.
+The JSON is written as one stream of chunks (`_chunks`): a walk of the
+envelope's dicts and lists sends each key and each scalar to its text
+through one table by exact type (a Fraction as its "p/q" string), with no
+encoder built per value, and joins the text between two vectors into one
+chunk.  A solution vector is written run by run from its placement: a
+run's unit text is repeated in blocks of about `_BLOCK` (1 MiB)
+characters, a long zero stretch is split the same way and a unit longer
+than a block is written token by token, so each vector byte is copied
+once into the stream and the memory in use stays a few blocks, whatever
+n.  The bytes equal ``json.dumps(payload, indent=2)``
+with each Fraction replaced by its string.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .combinatorial import enumerate_gamma, solve_combinatorial
@@ -64,7 +71,7 @@ SCHEMA = "extopt/1"
 
 
 class _VectorTexts(tuple):
-    """(n, runs, texts, zero) of a length-n vector for `_dumps`: the runs of
+    """(n, runs, texts, zero) of a length-n vector for `_chunks`: the runs of
     its placement, the JSON text of each of its values and the text of a
     zero entry."""
 
@@ -102,7 +109,7 @@ def _solve_result(report: SolveReport) -> dict[str, Any]:
     }
     if report.delta_star is not None:
         out["delta_star"] = report.delta_star
-    # each block is the dataclass's fields in their order; `_dumps` writes
+    # each block is the dataclass's fields in their order; `_chunks` writes
     # the window tuple as a list
     if report.delta_cert is not None:
         out["delta_certificate"] = vars(report.delta_cert)
@@ -134,43 +141,162 @@ def _text(value: Any) -> str:
     return _SCALAR_TEXT.get(type(value), _encode)(value)
 
 
-def _dumps(value: Any, indent: str = "") -> str:
-    """The bytes of ``json.dumps(value, indent=2)`` for a payload with string
-    keys, where a Fraction stands for its "p/q" string and a `_VectorTexts`
-    for the list of its entries.  Dicts and lists are walked here, `_text`
-    writes every key and scalar, and a `_VectorTexts` is written one run at
-    a time: the text of its unit, each item followed by the item
-    separator, repeated count times by one string repetition."""
+# the characters a vector's repeated text is written in at a time: one
+# block is built, then written as often as it fits, so the memory a vector
+# takes does not grow with n
+_BLOCK = 1 << 20
+
+
+def _repeated(text: str, count: int) -> Iterator[str]:
+    """``text * count`` as chunks of whole copies of ``text``, each of at
+    most `_BLOCK` characters unless ``text`` itself is longer."""
+    per = max(1, _BLOCK // len(text))
+    if count > per:
+        block = text * per
+        for _ in range(count // per):
+            yield block
+        count %= per
+    if count:
+        yield text * count
+
+
+def _gathered(pieces: Iterable[tuple[str, int]]) -> Iterator[str]:
+    """``text * count`` for each ``(text, count)`` of ``pieces``, in order,
+    joined into chunks of at most `_BLOCK` characters unless one ``text``
+    is longer."""
+    held: list[str] = []
+    size = 0
+    for text, count in pieces:
+        length = len(text) * count
+        if size + length > _BLOCK:
+            if held:
+                yield "".join(held)
+                held, size = [], 0
+            if length > _BLOCK:
+                yield from _repeated(text, count)
+                continue
+        held.append(text * count)
+        size += length
+    if held:
+        yield "".join(held)
+
+
+def _items(vector: _VectorTexts, sep: str) -> Iterator[str]:
+    """The entries of ``vector`` as chunks, each entry's text followed by
+    ``sep``: a unit whose whole text fits in a block is repeated by
+    `_repeated`, a longer one is written token by token through `_gathered`."""
+    n, runs, texts, zero = vector
+    zero += sep
+    for unit, count in runs:
+        size = sum([zeros * len(zero) + len(texts[code]) for zeros, code in unit])
+        if size + len(unit) * len(sep) <= _BLOCK:
+            yield from _repeated("".join([zero * zeros + texts[code] + sep
+                                          for zeros, code in unit]), count)
+            continue
+        tokens = [piece for zeros, code in unit
+                  for piece in ((zero, zeros), (texts[code] + sep, 1))]
+        for _ in range(count):
+            yield from _gathered(tokens)
+    yield from _repeated(zero, n - _length(runs))
+
+
+def _layout(value: Any, indent: str, out: list, vectors: list) -> None:
+    """Append the JSON text of ``value`` to ``out`` as pieces; a nonempty
+    `_VectorTexts` is left as a None slot, and ``(slot, vector, inner
+    indent)`` goes to ``vectors``."""
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:  # most values are scalars: look them up first
-        return scalar(value)
+        out.append(scalar(value))
+        return
     inner = indent + "  "
     if type(value) is _VectorTexts:
-        n, runs, texts, zero = value
-        sep = ",\n" + inner
-        zero += sep
-        body = "".join([
-            "".join([zero * zeros + texts[code] + sep for zeros, code in unit]) * count
-            for unit, count in runs
-        ]) + zero * (n - _length(runs))
-        # the last item takes no separator
-        return "[\n" + inner + body[:-len(sep)] + "\n" + indent + "]" if body else "[]"
-    if isinstance(value, dict):
+        if not value[0]:  # n = 0
+            out.append("[]")
+            return
+        out.append("[\n" + inner)
+        vectors.append((len(out), value, inner))
+        out.append(None)
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         key_text = _SCALAR_TEXT[str]
-        body = (f"{key_text(key)}: {_dumps(item, inner)}" for key, item in value.items())
-        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
+        lead = "{\n" + inner
+        for key, item in value.items():
+            out.append(lead + key_text(key) + ": ")
+            _layout(item, inner, out, vectors)
+            lead = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        texts = (_dumps(item, inner) for item in value)
-        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
-    return _text(value)
+            out.append("[]")
+            return
+        lead = "[\n" + inner
+        for item in value:
+            out.append(lead)
+            _layout(item, inner, out, vectors)
+            lead = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(_text(value))
+
+
+def _chunks(value: Any, indent: str = "") -> Iterator[str]:
+    """The bytes of ``json.dumps(value, indent=2)`` as a stream of chunks,
+    for a payload with string keys, where a Fraction stands for its "p/q"
+    string and a `_VectorTexts` for the list of its entries.
+
+    `_layout` walks the dicts and lists, and `_text` writes every key and
+    scalar; the text between two vectors is joined into one chunk.  A
+    vector is written by `_items` in chunks of at most about `_BLOCK`
+    characters, and its last chunk is held back to drop the separator
+    after its last entry.  So each vector byte is copied once into the
+    stream, and the memory in use does not grow with n.
+    """
+    out: list = []
+    vectors: list = []
+    _layout(value, indent, out, vectors)
+    start = 0
+    for slot, vector, inner in vectors:
+        yield "".join(out[start:slot])
+        sep = ",\n" + inner
+        last = ""
+        for chunk in _items(vector, sep):
+            if last:
+                yield last
+            last = chunk
+        yield last[:-len(sep)]
+        start = slot + 1
+    yield "".join(out[start:])
+
+
+def _dumps(value: Any, indent: str = "") -> str:
+    """The chunks of `_chunks` as one string."""
+    return "".join(_chunks(value, indent))
+
+
+class _StdoutClosed(Exception):
+    """The reader of stdout closed it while a report was written."""
 
 
 def _emit(payload: dict) -> None:
-    print(_dumps(payload))
+    stdout = sys.stdout
+    try:
+        stdout.writelines(_chunks(payload))
+        stdout.write("\n")
+        # a reader that closed the pipe shows here, not at interpreter exit
+        stdout.flush()
+    except BrokenPipeError:
+        # bytes left in stdout's buffer would fail again when the
+        # interpreter flushes it at exit: point its descriptor at the null
+        # device, as the `signal` module's note on SIGPIPE advises
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = stdout.fileno()  # an in-process stream may have none
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise _StdoutClosed from None
 
 
 def _make_instance(args: argparse.Namespace) -> Instance:
@@ -502,6 +628,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValidationError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _StdoutClosed:
+        # the reader closed stdout (``| head``, say): stop quietly with the
+        # status a shell gives a process that SIGPIPE ended, 128 + 13
+        return 141
     except Exception as exc:
         # a failed self-check or a bug: report it, never escape the exit-code table
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

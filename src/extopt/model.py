@@ -99,23 +99,29 @@ class Instance:
     y: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _integer("n", self.n, 1)
-        object.__setattr__(self, "x", as_rational(self.x))
-        object.__setattr__(self, "w", as_rational(self.w))
-        if self.x <= 0:
-            raise ValidationError(f"x must be positive, got {self.x}")
-        if self.w <= 0:
-            raise ValidationError(f"w must be positive, got {self.w}")
-        if self.w >= self.n * self.x:
+        n = _integer("n", self.n, 1)
+        x = as_rational(self.x)
+        w = as_rational(self.w)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "w", w)
+        # on integers: with x = xp/xq and w = wp/wq, w/x = wp·xq / (xp·wq),
+        # so m and the leftover r = w - m·x come from one divmod
+        xp, xq = x.as_integer_ratio()
+        wp, wq = w.as_integer_ratio()
+        if xp <= 0:
+            raise ValidationError(f"x must be positive, got {x}")
+        if wp <= 0:
+            raise ValidationError(f"w must be positive, got {w}")
+        m, rest = divmod(wp * xq, xp * wq)
+        if m >= n:  # w >= n·x, as n is whole
             raise TrivialRegimeError(
-                f"trivial regime: w = {self.w} >= n*x = {self.n * self.x}, "
+                f"trivial regime: w = {w} >= n*x = {n * x}, "
                 "every interval can be saturated"
             )
-        m = math.floor(self.w / self.x)
-        r = self.w - m * self.x
+        r = Fraction(rest, wq * xq)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "y", self.x - r)
+        object.__setattr__(self, "y", x - r)
 
 
 @dataclass(frozen=True)

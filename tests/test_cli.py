@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -525,6 +526,63 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["certificate"]["lower_bound"] == "10"
+
+    @pytest.mark.parametrize("n, w", [(10**6, "5/2"), (10**4, "3333")])
+    def test_closed_stdout_exits_141_quietly(self, n, w):
+        # a reader that stops after 10 bytes (``| head -c 10``) of an 11 MB
+        # sparse report, whose chunks go straight to the pipe, and of a
+        # 110 kB dense one, whose last bytes may still sit in stdout's buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "extopt.cli", "solve", "--domain", "continuous",
+             "-n", str(n), "-x", "1", "-w", w],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert head == b'{\n  "comma'
+        assert (code, err) == (141, b"")
+
+    def test_stdout_closed_before_a_small_report_exits_141_quietly(self):
+        # the whole report fits in stdout's buffer, so the closed pipe shows
+        # only when it is flushed; it must not wait for interpreter exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "extopt.cli", "solve", "--domain", "continuous",
+                 "-n", "7", "-x", "1", "-w", "2.2"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_a_closed_stdout_is_pointed_at_the_null_device(self, monkeypatch):
+        # after the broken pipe, bytes still buffered must have somewhere to
+        # go when the interpreter flushes stdout at exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["solve", "--domain", "continuous", "-n", "7", "-x", "1",
+                         "-w", "2.2"]) == 141
+            stream.write("left in the buffer")
+            stream.flush()
+            monkeypatch.undo()
+
+    def test_a_broken_pipe_elsewhere_is_an_internal_error(self, capsys, monkeypatch):
+        # only stdout's reader may end a command quietly
+        def broken(inst):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("extopt.cli.solve_continuous", broken)
+        code, out, err = run_cli(capsys, "solve", "--domain", "continuous",
+                                 "-n", "7", "-x", "1", "-w", "2.2")
+        assert (code, out) == (1, "")
+        assert err.startswith("internal error: BrokenPipeError")
 
     def test_repeated_in_process_runs_match_fresh_interpreters(self, capsys):
         argvs = [

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import tracemalloc
@@ -14,6 +15,7 @@ import tracemalloc
 import pytest
 
 from extopt import ConstructionError, Instance, eval_f, solve_combinatorial, solve_continuous
+from extopt import cli
 from extopt.cli import _dumps, _vec, main
 from extopt.combinatorial import _gamma_placed, a_value, build_gamma_member
 from extopt.continuous import build_duo, minimum
@@ -249,6 +251,87 @@ class TestLazyVector:
                 assert code == 0
                 vector = json.loads(out.getvalue())["result"]["vector"]
                 assert len(vector) == 10000 and sum(map(F, vector)) == F(w)
+
+
+def random_runs(rng, n_max=400):
+    """(n, placed): up to four runs of 1-3 token units, each token up to 60
+    zeros and then a mass from a small pool, so that zero stretches, units
+    and runs are both shorter and longer than a small block."""
+    pool = (F(1), F(1, 3), F(-7, 5) + 2, F(2**70 + 1, 2**65))
+    runs, length = [], 0
+    for _ in range(rng.randint(0, 4)):
+        unit = tuple((rng.choice((0, 1, rng.randint(2, 60))), rng.randrange(len(pool)))
+                     for _ in range(rng.randint(1, 3)))
+        span = sum(zeros + 1 for zeros, _ in unit)
+        count = min(rng.choice((1, 2, rng.randint(3, 40))), (n_max - length) // span)
+        if count < 1:
+            break
+        runs.append((unit, count))
+        length += count * span
+    return max(length, 1) + rng.choice((0, 1, rng.randint(2, 200))), (tuple(runs), pool)
+
+
+class TestChunkStream:
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_small_blocks_write_the_indented_encoder_bytes(self, monkeypatch, block):
+        # blocks far below one unit's text, so every repeat, zero stretch
+        # and held-back last chunk meets a block boundary
+        cases = [(n, solve(Instance(n, x, w)).placed)
+                 for n, x, w in itertools.islice(twelfths_grid(), 0, None, 7)
+                 for solve in (solve_continuous, solve_combinatorial)]
+        rng = random.Random(block)
+        cases += [random_runs(rng) for _ in range(300)]
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        for n, placed in cases:
+            entries = [str(e) for e in expand(n, placed)]
+            floats = [float(e) for e in expand(n, placed)]
+            written = {"vector": _vec(n, placed), "objective": F(1, 2),
+                       "members": [_vec(n, placed, float), [], _vec(n, placed)]}
+            plain = {"vector": entries, "objective": "1/2", "members": [floats, [], entries]}
+            assert _dumps(written) == json.dumps(plain, indent=2), (n, placed)
+
+    def test_chunks_are_bounded_by_the_block(self):
+        # a sparse and a dense vector of about 10 MB, each written in chunks
+        # of at most a block
+        n = 10**6
+        for w in (F(5, 2), F(n // 3) + F(1, 3)):
+            report = solve_continuous(Instance(n, F(1), w))
+            sizes = [len(chunk) for chunk in cli._chunks({"vector": _vec(n, report.placed)})]
+            assert sum(sizes) > 8 * n
+            assert max(sizes) <= cli._BLOCK, w
+
+    @pytest.mark.parametrize("block", [64, cli._BLOCK])
+    def test_a_unit_longer_than_a_block_is_written_in_blocks(self, monkeypatch, block):
+        # a unit of many tokens and few zeros: its text, not its zeros,
+        # outgrows the block
+        pool = (F(1), F(1, 3), F(2**70 + 1, 2**65))
+        tokens = 4 * block // 30
+        unit = tuple((int(i % 97 == 0), i % 3) for i in range(tokens))
+        placed = (((unit, 3),), pool)
+        n = 3 * sum(zeros + 1 for zeros, _ in unit) + 5
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        chunks = list(cli._chunks({"vector": _vec(n, placed)}))
+        assert max(map(len, chunks)) <= block
+        entries = [str(e) for e in expand(n, placed)]
+        assert "".join(chunks) == json.dumps({"vector": entries}, indent=2)
+
+    def test_peak_memory_of_a_written_solve_does_not_grow_with_n(self):
+        # 1.1 MB against 1.1 GB of JSON, written to the null device: the
+        # peak is a few blocks either way
+        def peak(domain, n):
+            argv = ["solve", "--domain", domain, "-n", str(n), "-x", "1", "-w", f"{n // 3}"]
+            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        for domain in ("continuous", "combinatorial"):
+            small, large = peak(domain, 10**5), peak(domain, 10**8)
+            assert large < 4 * cli._BLOCK, (domain, large)
+            assert abs(large - small) < 300_000, (domain, small, large)
 
 
 def scaled_prefix(vector, x):

@@ -6,10 +6,13 @@ from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from extopt import Instance, ValidationError, eval_f, solve_combinatorial, solve_continuous
+from extopt import (
+    Instance, TrivialRegimeError, ValidationError, eval_f, solve_combinatorial, solve_continuous,
+)
 from extopt.certificate import DualCertificate, check_certificate, dual_certificate
 from extopt.cli import _dumps, _vec
 from extopt.continuous import minimum
@@ -36,6 +39,34 @@ def instances(draw, max_n=7):
     # w = x·k/4 for k in 1..4n-1, so 0 < w < n·x
     w = x * F(draw(st.integers(1, 4 * n - 1)), 4)
     return Instance(n, x, w)
+
+
+@DERANDOMIZED
+@given(n=st.integers(1, 10**6), x=st.fractions(), w=st.fractions())
+@example(n=3, x=F(1), w=F(3))  # w = n·x
+@example(n=3, x=F(7, 5), w=F(21, 5) - F(1, 10**20))  # just below n·x
+@example(n=1, x=F(0), w=F(1, 2))
+@example(n=2, x=F(-1, 3), w=F(1, 2))
+@example(n=2, x=F(1, 3), w=F(0))
+@example(n=5, x=F(2**70 + 1, 2**65), w=F(-2**80, 3))
+def test_instance_derives_m_r_y_as_the_fraction_formulas(n, x, w):
+    # the integer derivation of m, r and y, and each error with its text
+    if x <= 0:
+        with pytest.raises(ValidationError, match=rf"^x must be positive, got {x}$"):
+            Instance(n, x, w)
+    elif w <= 0:
+        with pytest.raises(ValidationError, match=rf"^w must be positive, got {w}$"):
+            Instance(n, x, w)
+    elif w >= n * x:
+        text = f"trivial regime: w = {w} >= n*x = {n * x}, every interval can be saturated"
+        with pytest.raises(TrivialRegimeError) as raised:
+            Instance(n, x, w)
+        assert str(raised.value) == text
+    else:
+        inst = Instance(n, x, w)
+        m = math.floor(w / x)
+        assert (inst.m, inst.r, inst.y) == (m, w - m * x, x - (w - m * x))
+        assert type(inst.m) is int and type(inst.r) is F and type(inst.y) is F
 
 
 @DERANDOMIZED
