@@ -192,5 +192,9 @@ def _check(inst: Instance, prefix: list[int], xs: int, denom: int,
         return None
     blocks = _unsaturated(prefix, xs) + [(lo, hi, e, e) for lo, hi, e in runs]
     count, cover = _coverage(inst.n, blocks)
-    bound = inst.x * count - cert.mu * inst.w
-    return bound if max(cover) <= cert.mu and bound == f else None
+    # the bound x·count - μ·w is (X·count - μ·W) / D on the instance's
+    # integers; when it equals f, f is the bound
+    d, big_x, big_w, _, _ = inst._ints
+    bound = big_x * count - cert.mu * big_w
+    fp, fq = f.as_integer_ratio()
+    return f if max(cover) <= cert.mu and bound * fq == fp * d else None

@@ -70,6 +70,9 @@ from .report import CONJECTURED, INCONCLUSIVE, PROVEN, SolveReport
 SCHEMA = "extopt/1"
 
 
+_ZERO = Fraction(0)
+
+
 class _VectorTexts(tuple):
     """(n, runs, texts, zero) of a length-n vector for `_chunks`: the runs of
     its placement, the JSON text of each of its values and the text of a
@@ -84,7 +87,7 @@ def _vec(
     placement's ``values`` is formatted once, whatever n."""
     runs, values = placed
     return _VectorTexts((n, runs, [_text(form(value)) for value in values],
-                         _text(form(Fraction(0)))))
+                         _text(form(_ZERO))))
 
 
 def _envelope(command: str, instance: dict[str, Any], result: Any, status: str) -> dict:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import ConstructionError, SizeCapError, ValidationError
 from .model import (
-    Instance, Placement, _common, _eval_placed, _integer, _materialize, _packed,
+    Instance, Placement, _eval_placed, _integer, _materialize, _packed,
 )
 from .model import eval_f  # noqa: F401  perfbench/tracing.py wraps it under this module
 from .report import PROVEN, SolveReport
@@ -102,9 +102,10 @@ def tau(n: int, m: int) -> TauPair:
 def minimum(inst: Instance) -> Fraction:
     """The continuous minimum (1 - t)*C_m + t*C_{m+1}, t = r/x, where
     C_k = x*h(k+1, n+1) is the value of k equidistant masses of x."""
+    d, xs, _, rs, _ = inst._ints
     a = _twice_h(inst.m + 1, inst.n + 1)
     b = _twice_h(inst.m + 2, inst.n + 1)
-    return (inst.x * a + inst.r * (b - a)) / 2
+    return Fraction(xs * a + rs * (b - a), 2 * d)
 
 
 def _a_scaled(n: int, m: int, xs: int, rs: int, delta: int) -> int:
@@ -126,7 +127,7 @@ def a_value(inst: Instance, delta: int) -> Fraction:
     if m < 1:
         raise ValidationError("a_value needs m >= 1; the w < x case has no gap search")
     _integer("delta", delta, 1, inst.n + 1 - m)
-    d, (xs, rs) = _common(inst.x, inst.r)
+    d, xs, _, rs, _ = inst._ints
     return Fraction(_a_scaled(inst.n, m, xs, rs, delta), 2 * d)
 
 
@@ -140,7 +141,7 @@ def phi(inst: Instance, delta: int) -> Fraction:
     if m < 1:
         raise ValidationError("phi needs m >= 1")
     _integer("delta", delta, 1, n - 1)
-    d, (xs, rs) = _common(inst.x, inst.r)
+    d, xs, _, rs, _ = inst._ints
     return Fraction(_phi_scaled(n, m, xs, rs, delta), 2 * d)
 
 
@@ -164,13 +165,13 @@ def delta_search(inst: Instance) -> DeltaCertificate:
     delta* is the candidate with the smaller objective (the even one on
     ties).  When r = 0 the objective's first difference is already monotone
     and delta* is ceil((n+1)/(m+1)).  Signs and comparisons are decided on
-    the integers 2D * phi and 2D * a_value over D, the common denominator
-    of x and r.
+    the integers 2D * phi and 2D * a_value, D the instance's common
+    denominator (``Instance._ints``).
     """
     n, m = inst.n, inst.m
     if m < 1:
         raise ValidationError("delta_search needs m >= 1; place r at a middle point instead")
-    d, (xs, rs) = _common(inst.x, inst.r)
+    d, xs, _, rs, _ = inst._ints
     delta1 = _class_candidate(n, m, xs, rs, 1)
     delta2 = _class_candidate(n, m, xs, rs, 2)
     a1 = _a_scaled(n, m, xs, rs, delta1)
@@ -297,17 +298,25 @@ def solve_combinatorial(inst: Instance) -> SolveReport:
     """Exact minimizer over the structured placements, with its certificate.
 
     With m = 0 the leftover sits at the middle of the n slots: the intervals
-    that hold it fall short by x - r and all others by x.
+    that hold it fall short by x - r and all others by x.  Otherwise the
+    closed form is the chosen candidate's value from `delta_search`, or
+    `a_value` when r = 0 puts delta* at neither candidate.
     """
     n = inst.n
     if inst.m == 0:
         cert, delta_star = None, n + 1
         half = (n + 1) // 2
-        expected = inst.x * n * (n + 1) / 2 - inst.r * half * (n + 1 - half)
+        d, xs, _, rs, _ = inst._ints
+        expected = Fraction(xs * n * (n + 1) - 2 * rs * half * (n + 1 - half), 2 * d)
     else:
         cert = delta_search(inst)
         delta_star = cert.delta_star
-        expected = a_value(inst, delta_star)
+        if delta_star == cert.delta1:
+            expected = cert.a_delta1
+        elif delta_star == cert.delta2:
+            expected = cert.a_delta2
+        else:
+            expected = a_value(inst, delta_star)
     placed = _gamma_placed(inst, delta_star)
     return SolveReport(
         instance=inst,

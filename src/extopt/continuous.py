@@ -70,12 +70,13 @@ def satisfies_interleaving(gaps_y: tuple[int, ...], gaps_r: tuple[int, ...]) -> 
 
 def build_duo(inst: Instance) -> Placement:
     """The two canonical layers added together, as a `Placement` with values
-    (y, r, y + r): m masses of y at the prefix sums of the y-layer profile
-    and m+1 masses of r at those of the r-layer profile
-    (``canonical_gap_profiles``).  A slot in both layers holds y + r = x,
-    still within bounds.  The sum is (1 - t)*E_m + t*E_{m+1} with t = r/x,
-    where E_k is the equidistant optimum at budget k*x, so it lies on the
-    chord ``minimum`` whether or not the layers interleave strictly.
+    (y, r, x): m masses of y at the prefix sums of the y-layer profile and
+    m+1 masses of r at those of the r-layer profile
+    (``canonical_gap_profiles``).  A slot in both layers holds y + r, the
+    instance's x, still within bounds.  The sum is (1 - t)*E_m + t*E_{m+1}
+    with t = r/x, where E_k is the equidistant optimum at budget k*x, so it
+    lies on the chord ``minimum`` whether or not the layers interleave
+    strictly.
 
     With (q, s) = divmod(n + 1, k + 1), a layer of k masses puts mass i
     (0-based) at slot (i + 1)*q + max(0, i + 1 - (k + 1 - s)) - 1.  The
@@ -142,7 +143,7 @@ def build_duo(inst: Instance) -> Placement:
             pieces += [(unit(*around(i)), 1) for i in range(a + 1, b + 1)]
     y_last, r_m, _, _ = around(m)
     pieces.append((((r_m - y_last - 1, 1),), int(r_m > y_last)))
-    return _packed(pieces), (y, r, y + r)
+    return _packed(pieces), (y, r, inst.x)
 
 
 def solve_continuous(inst: Instance) -> SolveReport:

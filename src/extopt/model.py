@@ -3,12 +3,19 @@
 Everything here is exact: service vectors are tuples of ``Fraction`` and the
 objective is evaluated with big-integer rational arithmetic.  Binary floats
 are refused on input so that decimal data like "2.2" never picks up rounding
-noise (floats belong to the numerical oracle only).
+noise (floats belong to the numerical oracle only).  A string of unsigned
+ASCII digits is read without the regular expression of ``Fraction(str)``.
+
+An `Instance` holds x, w, r and y also as integers over one denominator
+(``Instance._ints``), derived once with m.  The closed forms here
+(`variance_range`) and in `combinatorial` compute on those, and
+`QueueParams` and `externality_mean` on numerators and denominators, so a
+command builds a Fraction only for a value it writes.
 
 A solution travels from the solver to the JSON writer as a `Placement`, the
 nonzero entries of its length-n vector as runs of a repeated unit,
 ``(runs, values)``.  ``values`` holds the few value objects the masses take
-(x, r, y, y + r, ...).  Each run is ``(unit, count)``: the unit is a tuple of
+(x, r, y, ...).  Each run is ``(unit, count)``: the unit is a tuple of
 ``(zeros, code)`` tokens, each meaning ``zeros`` zero entries and then the
 mass ``values[code]``, and it repeats ``count`` times; zeros fill the vector
 after the last run to length n.  The solvers' placements are near-periodic,
@@ -42,7 +49,14 @@ Placement = tuple[tuple[Run, ...], tuple[Fraction, ...]]
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Convert an int, a "p/q" string or a decimal string to an exact Fraction."""
+    """Convert an int, a "p/q" string or a decimal string to an exact Fraction.
+
+    A string of unsigned ASCII digits, ``p`` or ``p/q``, is read as
+    ``Fraction(int(p), int(q))``; every other string (a decimal, an
+    exponent, a sign, spaces, underscores, non-ASCII digits) goes to
+    ``Fraction(str)``.  Either path refuses a zero denominator and a digit
+    string longer than ``sys.get_int_max_str_digits()`` with ValidationError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or isinstance(value, float):
@@ -50,6 +64,10 @@ def as_rational(value: RationalLike) -> Fraction:
             f"refusing to coerce {value!r}; pass an int, Fraction, or decimal/ratio string"
         )
     try:
+        if isinstance(value, str):
+            p, slash, q = value.partition("/")
+            if p.isascii() and p.isdigit() and (not slash or q.isascii() and q.isdigit()):
+                return Fraction(int(p), int(q) if slash else 1)
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValidationError(f"not a rational number: {value!r}") from exc
@@ -88,7 +106,13 @@ class Instance:
 
     * ``m``: number of whole x-masses that fit in w,
     * ``r``: leftover mass, 0 <= r < x,
-    * ``y``: complement x - r, so y + r = x.
+    * ``y``: complement x - r, so y + r = x,
+    * ``_ints``: ``(D, X, W, R, Y)``, the integers with x = X/D, w = W/D,
+      r = R/D and y = Y/D over the one denominator D = x.denominator *
+      w.denominator.  The closed forms compute on these and build a
+      Fraction only for a value they return.
+
+    The derived fields take no part in ``repr``, equality or hashing.
     """
 
     n: int
@@ -97,6 +121,7 @@ class Instance:
     m: int = field(init=False, repr=False, compare=False)
     r: Fraction = field(init=False, repr=False, compare=False)
     y: Fraction = field(init=False, repr=False, compare=False)
+    _ints: tuple[int, int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = _integer("n", self.n, 1)
@@ -112,16 +137,18 @@ class Instance:
             raise ValidationError(f"x must be positive, got {x}")
         if wp <= 0:
             raise ValidationError(f"w must be positive, got {w}")
-        m, rest = divmod(wp * xq, xp * wq)
+        xs, ws = xp * wq, wp * xq
+        m, rest = divmod(ws, xs)
         if m >= n:  # w >= n·x, as n is whole
             raise TrivialRegimeError(
                 f"trivial regime: w = {w} >= n*x = {n * x}, "
                 "every interval can be saturated"
             )
-        r = Fraction(rest, wq * xq)
+        denom = wq * xq
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "y", x - r)
+        object.__setattr__(self, "r", Fraction(rest, denom))
+        object.__setattr__(self, "y", Fraction(xs - rest, denom))
+        object.__setattr__(self, "_ints", (denom, xs, ws, rest, xs - rest))
 
 
 @dataclass(frozen=True)
@@ -137,18 +164,25 @@ class QueueParams:
     mu2: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", as_rational(self.lam))
-        object.__setattr__(self, "mu1", as_rational(self.mu1))
-        object.__setattr__(self, "mu2", as_rational(self.mu2))
-        if self.lam < 0:
-            raise ValidationError(f"arrival rate must be nonnegative, got {self.lam}")
-        if self.mu1 <= 0:
-            raise ValidationError(f"mu1 must be positive, got {self.mu1}")
-        if self.mu2 < self.mu1 * self.mu1:
+        lam = as_rational(self.lam)
+        mu1 = as_rational(self.mu1)
+        mu2 = as_rational(self.mu2)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu1", mu1)
+        object.__setattr__(self, "mu2", mu2)
+        # each test on numerators and (positive) denominators
+        lp, lq = lam.as_integer_ratio()
+        ap, aq = mu1.as_integer_ratio()
+        bp, bq = mu2.as_integer_ratio()
+        if lp < 0:
+            raise ValidationError(f"arrival rate must be nonnegative, got {lam}")
+        if ap <= 0:
+            raise ValidationError(f"mu1 must be positive, got {mu1}")
+        if bp * aq * aq < ap * ap * bq:
             raise ValidationError(
-                f"mu2 = {self.mu2} < mu1^2 = {self.mu1 * self.mu1}: not a valid second moment"
+                f"mu2 = {mu2} < mu1^2 = {mu1 * mu1}: not a valid second moment"
             )
-        if self.rho >= 1:
+        if lp * ap >= lq * aq:
             raise StabilityError(f"utilization rho = {self.rho} >= 1")
 
     @property
@@ -378,7 +412,12 @@ def strict_pair_sum(v: Iterable[RationalLike], x: RationalLike) -> Fraction:
 
 def externality_mean(q: QueueParams, n: int, x: RationalLike) -> Fraction:
     """Expected externalities n*x/(1 - rho); independent of the service vector."""
-    return _integer("n", n, 1) * _positive(x) / (1 - q.rho)
+    n = _integer("n", n, 1)
+    xp, xq = _positive(x).as_integer_ratio()
+    lp, lq = q.lam.as_integer_ratio()
+    ap, aq = q.mu1.as_integer_ratio()
+    # 1 - rho = (lq·aq - lp·ap) / (lq·aq)
+    return Fraction(n * xp * lq * aq, xq * (lq * aq - lp * ap))
 
 
 def externality_variance(
@@ -388,15 +427,14 @@ def externality_variance(
 
     The bracket sums intervals of length >= 2 only; singleton intervals do
     not enter, unlike :func:`eval_f`.  This is the O(n) reference over a
-    whole vector; `variance_range` gives the two extremes in O(1).
+    whole vector; `variance_range` gives the two extremes in O(1).  Its
+    factor is computed here with Fractions, apart from `variance_range`'s
+    integer pair.
     """
     vec = tuple(v)
     pairs = strict_pair_sum(vec, x)  # validates v and x
-    return _variance_factor(q) * (len(vec) * as_rational(x) + 2 * pairs)
-
-
-def _variance_factor(q: QueueParams) -> Fraction:
-    return q.lam * q.mu2 / (1 - q.rho) ** 3
+    factor = q.lam * q.mu2 / (1 - q.rho) ** 3
+    return factor * (len(vec) * as_rational(x) + 2 * pairs)
 
 
 def variance_range(q: QueueParams, inst: Instance, f_min: Fraction) -> tuple[Fraction, Fraction]:
@@ -412,13 +450,23 @@ def variance_range(q: QueueParams, inst: Instance, f_min: Fraction) -> tuple[Fra
     n-1 that start at the mass by (x - w)^+.  Its entry w may exceed x, so
     the identity above does not hold there and the form is its own.
     `externality_variance` over either vector is the O(n) reference.
+
+    The factor lam*mu2/(1-rho)^3 is one integer pair and the brackets are
+    integers over the instance's denominator D (``Instance._ints``), so the
+    two values are the only Fractions built.
     """
     n = inst.n
-    # both brackets as integers over one denominator: two Fractions, not ten
-    denom, (xs, ws, fs) = _common(inst.x, inst.w, f_min)
-    sup = n * xs + (n - 1) * ((n - 2) * xs + 2 * max(xs - ws, 0))
-    factor = _variance_factor(q)
-    return factor * Fraction(2 * ws - n * xs + 2 * fs, denom), factor * Fraction(sup, denom)
+    denom, xs, ws, _, _ = inst._ints
+    fp, fq = f_min.as_integer_ratio()
+    lp, lq = q.lam.as_integer_ratio()
+    ap, aq = q.mu1.as_integer_ratio()
+    bp, bq = q.mu2.as_integer_ratio()
+    # lam·mu2 / (1 - rho)^3 = (lp/lq)·(bp/bq)·(lq·aq)^3 / (lq·aq - lp·ap)^3
+    top = lp * bp * lq * lq * aq * aq * aq
+    bottom = bq * (lq * aq - lp * ap) ** 3
+    low = (2 * ws - n * xs) * fq + 2 * fp * denom  # over denom·fq
+    sup = n * xs + (n - 1) * ((n - 2) * xs + 2 * max(xs - ws, 0))  # over denom
+    return Fraction(top * low, bottom * denom * fq), Fraction(top * sup, bottom * denom)
 
 
 def supremum_vector(inst: Instance) -> tuple[Fraction, ...]:

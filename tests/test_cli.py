@@ -392,6 +392,15 @@ class TestVariance:
         )
         assert code == 3
 
+    def test_rho_exactly_one_exit_3(self, capsys):
+        # lam·mu1 = 1/2 · 2, decided on numerators and denominators
+        code, out, err = run_cli(
+            capsys,
+            "variance", "-n", "5", "-x", "1", "-w", "1/2",
+            "--lambda", "1/2", "--mu1", "2", "--mu2", "4",
+        )
+        assert (code, out, err) == (3, "", "error: utilization rho = 1 >= 1\n")
+
 
 class TestLargeN:
     """n = 10^5, where almost every interval is unsaturated: each objective is

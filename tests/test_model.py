@@ -2,9 +2,12 @@
 
 import contextlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extopt import (
     ConstructionError,
@@ -66,6 +69,32 @@ class TestRationalParsing:
         for bad in ("x", "1/0", "", None):
             with pytest.raises(ValidationError):
                 as_rational(bad)
+
+    # a digit string one past the int-from-str limit, on either side of "/":
+    # int() raises ValueError there, not ZeroDivisionError
+    LONG = "7" * (sys.get_int_max_str_digits() + 1)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(st.text(alphabet="0123456789/.e_+- \u0663", max_size=12))
+    @example("1/0")
+    @example("0/0")
+    @example("007/010")
+    @example("1_0")
+    @example("\u0663")
+    @example(LONG + "/7")
+    @example("7/" + LONG)
+    def test_strings_parse_as_fraction_of_the_string(self, text):
+        # the digits-only path and the Fraction(str) path agree on every
+        # string: the same value, or ValidationError exactly when
+        # Fraction(str) raises
+        try:
+            expected = F(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValidationError, match="^not a rational number: "):
+                as_rational(text)
+        else:
+            parsed = as_rational(text)
+            assert type(parsed) is F and parsed == expected
 
 
 class TestInstance:
@@ -253,6 +282,15 @@ class TestQueueFormulas:
         assert externality_mean(QueueParams(0, 1, 1), 3, 1) == 3
         assert externality_mean(QueueParams(F("1/4"), 2, 4), 10, F("1/2")) == 10
 
+    def test_mean_matches_the_fraction_formula(self):
+        # fractional lam and mu1, so every numerator and denominator enters
+        rng = random.Random(11)
+        for _ in range(200):
+            mu1 = F(rng.randint(1, 30), rng.randint(1, 30))
+            q = QueueParams(F(rng.randint(0, 99), 100) / mu1, mu1, mu1 * mu1 * 2)
+            n, x = rng.randint(1, 10**6), F(rng.randint(1, 50), rng.randint(1, 50))
+            assert externality_mean(q, n, x) == n * x / (1 - q.lam * q.mu1)
+
     def test_variance_examples(self):
         q = QueueParams(F("1/2"), 1, 2)
         assert externality_variance(q, ("1", "1"), 1) == 16
@@ -282,6 +320,20 @@ class TestQueueFormulas:
             QueueParams(F("1/2"), 0, 1)
         with pytest.raises(ValidationError):
             QueueParams(-1, 1, 1)
+        # each test is exact at its boundary and keeps its message
+        with pytest.raises(StabilityError, match=r"^utilization rho = 1 >= 1$"):
+            QueueParams(F(1, 2), 2, 4)
+        almost = F(10**30 - 1, 10**30)
+        assert QueueParams(almost / F(7, 3), F(7, 3), 6).rho == almost
+        assert QueueParams(F(1, 3), F(3, 7), F(9, 49)).mu2 == F(9, 49)  # mu2 = mu1^2
+        below = F(9, 49) - F(1, 10**30)
+        with pytest.raises(ValidationError,
+                           match=rf"^mu2 = {below} < mu1\^2 = 9/49: not a valid second moment$"):
+            QueueParams(F(1, 3), F(3, 7), below)
+        with pytest.raises(ValidationError, match=r"^arrival rate must be nonnegative, got -1/9$"):
+            QueueParams(F(-1, 9), 1, 1)
+        with pytest.raises(ValidationError, match=r"^mu1 must be positive, got -2/3$"):
+            QueueParams(F(1, 2), F(-2, 3), 1)
 
 
 class TestSupremum:

@@ -67,6 +67,10 @@ def test_instance_derives_m_r_y_as_the_fraction_formulas(n, x, w):
         m = math.floor(w / x)
         assert (inst.m, inst.r, inst.y) == (m, w - m * x, x - (w - m * x))
         assert type(inst.m) is int and type(inst.r) is F and type(inst.y) is F
+        # x, w, r and y as integers over the instance's one denominator
+        denom, *scaled = inst._ints
+        assert all(type(k) is int for k in inst._ints) and denom > 0
+        assert [F(k, denom) for k in scaled] == [x, w, inst.r, inst.y]
 
 
 @DERANDOMIZED

@@ -1,6 +1,7 @@
 """The O(1) variance range against the O(n) references over whole vectors."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,25 @@ from helpers import twelfths_grid
 
 F = Fraction
 
-QUEUES = (QueueParams(F(1, 2), 1, 2), QueueParams(F(1, 3), 2, 7))
+
+def queue_grid(count=4, seed="variance-queues"):
+    """Seeded stable queues given as unreduced "p/q" strings: mu2 at mu1^2,
+    just above it by one part in a large denominator, or well above it."""
+    rng = random.Random(seed)
+    queues = []
+    for i in range(count):
+        k = rng.randint(2, 5)
+        mu1 = F(rng.randint(1, 9), rng.randint(1, 7))
+        lam = F(rng.randint(1, 99), 100) / mu1
+        gap = (F(0), F(1, 10**rng.randint(12, 30) + rng.randint(1, 99)), F(rng.randint(1, 9), 4))
+        mu2 = mu1 * mu1 * (1 + gap[i % 3])
+        queues.append(QueueParams(*(f"{k * v.numerator}/{k * v.denominator}"
+                                    for v in (lam, mu1, mu2))))
+    return tuple(queues)
+
+
+QUEUES = (QueueParams(F(1, 2), 1, 2), QueueParams(F(1, 3), 2, 7),
+          QueueParams("2/4", "6/4", "18/4")) + queue_grid()
 
 # w = 1/2 < x and w = 5/2 > x take both branches of (x - w)^+ in the
 # supremum; 33333/2 is the dense instance at n = 10^5 (333/2 at n = 10^3)
