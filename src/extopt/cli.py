@@ -23,11 +23,11 @@ through one table by exact type (a Fraction as its "p/q" string), with no
 encoder built per value, and joins the text between two vectors into one
 chunk.  A solution vector is written run by run from its placement: a
 run's unit text is repeated in blocks of about `_BLOCK` (1 MiB)
-characters, a long zero stretch is split the same way and a unit longer
-than a block is written token by token, so each vector byte is copied
-once into the stream and the memory in use stays a few blocks, whatever
-n.  The bytes equal ``json.dumps(payload, indent=2)``
-with each Fraction replaced by its string.
+characters by `_repeated`, and a unit longer than a block is written token
+by token, its zero stretches, like the zeros after the last run, through
+`_repeated` too.  So each vector byte is copied once into the stream and
+the memory in use stays a few blocks, whatever n.  The bytes equal
+``json.dumps(payload, indent=2)`` with each Fraction replaced by its string.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .combinatorial import enumerate_gamma, solve_combinatorial
@@ -163,31 +163,13 @@ def _repeated(text: str, count: int) -> Iterator[str]:
         yield text * count
 
 
-def _gathered(pieces: Iterable[tuple[str, int]]) -> Iterator[str]:
-    """``text * count`` for each ``(text, count)`` of ``pieces``, in order,
-    joined into chunks of at most `_BLOCK` characters unless one ``text``
-    is longer."""
-    held: list[str] = []
-    size = 0
-    for text, count in pieces:
-        length = len(text) * count
-        if size + length > _BLOCK:
-            if held:
-                yield "".join(held)
-                held, size = [], 0
-            if length > _BLOCK:
-                yield from _repeated(text, count)
-                continue
-        held.append(text * count)
-        size += length
-    if held:
-        yield "".join(held)
-
-
 def _items(vector: _VectorTexts, sep: str) -> Iterator[str]:
     """The entries of ``vector`` as chunks, each entry's text followed by
     ``sep``: a unit whose whole text fits in a block is repeated by
-    `_repeated`, a longer one is written token by token through `_gathered`."""
+    `_repeated`.  A longer one is written token by token, each zero stretch
+    through `_repeated` and then the mass: such units come from `build_duo`'s
+    few pieces or a vector's one-token masses, never as a flood of tiny
+    tokens, so nothing is gathered into blocks."""
     n, runs, texts, zero = vector
     zero += sep
     for unit, count in runs:
@@ -196,10 +178,10 @@ def _items(vector: _VectorTexts, sep: str) -> Iterator[str]:
             yield from _repeated("".join([zero * zeros + texts[code] + sep
                                           for zeros, code in unit]), count)
             continue
-        tokens = [piece for zeros, code in unit
-                  for piece in ((zero, zeros), (texts[code] + sep, 1))]
         for _ in range(count):
-            yield from _gathered(tokens)
+            for zeros, code in unit:
+                yield from _repeated(zero, zeros)
+                yield texts[code] + sep
     yield from _repeated(zero, n - _length(runs))
 
 
@@ -245,7 +227,7 @@ def _layout(value: Any, indent: str, out: list, vectors: list) -> None:
         out.append(_text(value))
 
 
-def _chunks(value: Any, indent: str = "") -> Iterator[str]:
+def _chunks(value: Any) -> Iterator[str]:
     """The bytes of ``json.dumps(value, indent=2)`` as a stream of chunks,
     for a payload with string keys, where a Fraction stands for its "p/q"
     string and a `_VectorTexts` for the list of its entries.
@@ -259,7 +241,7 @@ def _chunks(value: Any, indent: str = "") -> Iterator[str]:
     """
     out: list = []
     vectors: list = []
-    _layout(value, indent, out, vectors)
+    _layout(value, "", out, vectors)
     start = 0
     for slot, vector, inner in vectors:
         yield "".join(out[start:slot])
@@ -274,9 +256,9 @@ def _chunks(value: Any, indent: str = "") -> Iterator[str]:
     yield "".join(out[start:])
 
 
-def _dumps(value: Any, indent: str = "") -> str:
+def _dumps(value: Any) -> str:
     """The chunks of `_chunks` as one string."""
-    return "".join(_chunks(value, indent))
+    return "".join(_chunks(value))
 
 
 class _StdoutClosed(Exception):

@@ -21,9 +21,10 @@ mass ``values[code]``, and it repeats ``count`` times; zeros fill the vector
 after the last run to length n.  The solvers' placements are near-periodic,
 so a dense one is a handful of runs whatever n and m, and building, scoring
 (`_shortfall` scans a few repetitions per run) and writing it cost
-O(runs) Python.  Only `_materialize` (the n-vector) and `_prefix` (the
-n + 1 prefix sums that `verify` reads) expand the runs, in C-speed slice
-and repeat operations.
+O(runs) Python.  Only `_expand` writes the runs out as an n-list, by
+C-speed slice assignments; `_materialize` (the n-vector) and `_prefix`
+(the n + 1 prefix sums that `verify` reads) both call it.  A given vector
+comes in through `_placement` alone.
 """
 
 from __future__ import annotations
@@ -71,30 +72,6 @@ def as_rational(value: RationalLike) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValidationError(f"not a rational number: {value!r}") from exc
-
-
-def _entries(items: tuple) -> tuple[list[int], dict[int, Fraction], bool]:
-    """(ids, values, same) of a candidate vector's entries: the id of each
-    entry, each distinct entry object's validated Fraction keyed by its id,
-    and whether every entry already is that Fraction."""
-    # a vector repeats a few entry objects (0, x, r, ...): convert and check
-    # each object once.  Keyed by id, which hashes far faster than a
-    # Fraction; ids stay unique while `items` holds the objects
-    ids = list(map(id, items))
-    distinct = dict(zip(ids, items))
-    values = {key: as_rational(e) for key, e in distinct.items()}
-    if not values:
-        raise ValidationError("service vector must have at least one entry")
-    if any(e.numerator < 0 for e in values.values()):
-        raise ValidationError("service vector entries must be nonnegative")
-    return ids, values, all(map(operator.is_, values.values(), distinct.values()))
-
-
-def service_vector(entries: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """Validate and normalize a candidate solution vector."""
-    items = tuple(entries)
-    ids, values, same = _entries(items)
-    return items if same else tuple(map(values.__getitem__, ids))
 
 
 @dataclass(frozen=True)
@@ -321,11 +298,11 @@ def _shortfall(n: int, runs: Sequence[Run], table: Sequence[int], x: int) -> int
     return total
 
 
-def _materialize(n: int, placed: Placement) -> tuple[Fraction, ...]:
-    """The length-n vector whose nonzero entries are ``placed``: each token
-    of a run is stored into its every repetition by one slice assignment."""
-    runs, values = placed
-    entries = [Fraction(0)] * n
+def _expand(n: int, runs: Iterable[Run], table: Sequence, zero: object) -> list:
+    """The length-n list whose nonzero entries are ``runs``, code c standing
+    for ``table[c]`` and every other entry ``zero``: each token of a run is
+    stored into its every repetition by one slice assignment."""
+    entries = [zero] * n
     start = 0
     for unit, count in runs:
         span = sum(zeros + 1 for zeros, _ in unit)
@@ -333,17 +310,33 @@ def _materialize(n: int, placed: Placement) -> tuple[Fraction, ...]:
         at = start
         for zeros, code in unit:
             at += zeros
-            entries[at:stop:span] = [values[code]] * count
+            entries[at:stop:span] = [table[code]] * count
             at += 1
         start = stop
-    return tuple(entries)
+    return entries
+
+
+def _materialize(n: int, placed: Placement) -> tuple[Fraction, ...]:
+    """The length-n vector whose nonzero entries are ``placed``."""
+    runs, values = placed
+    return tuple(_expand(n, runs, values, Fraction(0)))
 
 
 def _placement(vec: Sequence[RationalLike]) -> Placement:
-    """The `Placement` of the candidate vector ``vec``, validated as by
-    `service_vector`: its values are the distinct nonzero entry objects, each
-    tested for zero once, and its runs the masses' grouped tokens."""
-    ids, values, _ = _entries(tuple(vec))
+    """The `Placement` of the candidate vector ``vec``, validated: each
+    distinct entry object is converted by `as_rational`, checked
+    nonnegative and tested for zero once; the values are the nonzero ones,
+    and the runs the masses' grouped tokens."""
+    # a vector repeats a few entry objects (0, x, r, ...): convert and check
+    # each object once.  Keyed by id, which hashes far faster than a
+    # Fraction; ids stay unique while `items` holds the objects
+    items = tuple(vec)
+    ids = list(map(id, items))
+    values = {key: as_rational(e) for key, e in dict(zip(ids, items)).items()}
+    if not values:
+        raise ValidationError("service vector must have at least one entry")
+    if any(e.numerator < 0 for e in values.values()):
+        raise ValidationError("service vector entries must be nonnegative")
     nonzero = {key: e for key, e in values.items() if e}
     coded = list(map(dict(zip(nonzero, range(len(nonzero)))).get, ids))
     held = list(map(operator.is_not, coded, itertools.repeat(None)))
@@ -356,16 +349,7 @@ def _prefix(n: int, placed: Placement, x: Fraction) -> tuple[list[int], int, int
     nonzero entries are ``placed``, and x, as integers over one denominator."""
     runs, values = placed
     denom, (xs, *table) = _common(x, *values)
-    masses: list[int] = []
-    widths: list[int] = []
-    for unit, count in runs:
-        masses += [table[code] for _, code in unit] * count
-        widths += [zeros + 1 for zeros, _ in unit] * count
-    widths.append(n + 1 - sum(widths))
-    # the sum of the first j masses repeats once per slot from mass j to
-    # the slot before mass j + 1
-    sums = itertools.accumulate(masses, initial=0)
-    return list(itertools.chain.from_iterable(map(itertools.repeat, sums, widths))), xs, denom
+    return list(itertools.accumulate(_expand(n, runs, table, 0), initial=0)), xs, denom
 
 
 def _eval_placed(n: int, placed: Placement, x: Fraction) -> Fraction:

@@ -108,7 +108,7 @@ def brute_force_combinatorial(
     cost = math.comb(n, m) * n
     if cost > cap:
         raise SizeCapError(f"{cost} candidate evaluations exceed the cap {cap}")
-    denom, (x_s, r_s) = _common(inst.x, inst.r)
+    denom, x_s, _, r_s, _ = inst._ints
 
     def placements() -> Iterator[tuple[int, ...]]:
         for combo in itertools.combinations(range(n), m):
@@ -415,10 +415,11 @@ def projected_subgradient(
 
 def duo_lattice_resolution(inst: Instance) -> int:
     """Lattice resolution (steps per w) that contains the duo construction."""
-    # the grain is the largest rational g with y/g and r/g integers; at
-    # r = 0 it is y = x
-    denom, nums = _common(inst.y, inst.r)
-    return int(inst.w * denom / math.gcd(*nums))
+    # the grain is the largest rational g with y/g and r/g integers, here
+    # gcd(Y, R)/D; at r = 0 it is y = x.  W = m·(Y + R) + R is a multiple
+    # of gcd(Y, R)
+    _, _, ws, rs, ys = inst._ints
+    return ws // math.gcd(ys, rs)
 
 
 def verify_conjecture(inst: Instance) -> VerifyReport:

@@ -343,12 +343,24 @@ class TestDuoLatticeResolution:
         assert duo_lattice_resolution(inst(5, 1, 2)) == 2  # r = 0: steps of x
 
     def test_duo_vector_on_lattice(self):
-        for n, x, w in [(7, "1", "2.2"), (9, "1", "2.5"), (11, "1.1", "2.75")]:
-            i = inst(n, x, w)
+        # every duo entry is a whole number of steps, and the step is the
+        # largest such: y and r share no further factor, and at r = 0 it is x
+        rng = random.Random(7)
+        seeded = []
+        while len(seeded) < 200:
+            x = F(rng.randint(1, 40), rng.randint(2, 13))
+            if x.denominator > 1:
+                n = rng.randint(2, 60)
+                seeded.append(inst(n, x, n * x * F(rng.randint(1, 999), 1000)))
+        for i in [*(inst(n, x, w) for n, x, w in twelfths_grid()), *seeded]:
             res = duo_lattice_resolution(i)
             step = i.w / res
             vec = solve_continuous(i).vector
-            assert all((e / step).denominator == 1 for e in vec)
+            assert all((e / step).denominator == 1 for e in vec), i
+            if i.r:
+                assert math.gcd(int(i.y / step), int(i.r / step)) == 1, i
+            else:
+                assert step == i.x, i
 
 
 class TestDualCertificate:
@@ -432,12 +444,11 @@ class TestDualCertificate:
 
     def test_check_validates_the_vector_once(self, monkeypatch):
         # check_certificate scores the placement its prefix sums came from:
-        # one validation and one placement of v per call, the same bounds
+        # one placement of v per call, which validates it, the same bounds
         from extopt import model
 
-        entries, placement = model._entries, model._placement
+        placement = model._placement
         calls = []
-        monkeypatch.setattr(model, "_entries", lambda *a: calls.append("v") or entries(*a))
         monkeypatch.setattr(model, "_placement", lambda *a: calls.append("p") or placement(*a))
         checked = 0
         for n, x, w in twelfths_grid():
@@ -448,7 +459,7 @@ class TestDualCertificate:
             cert = dual_certificate(report.vector, i)
             calls.clear()
             assert check_certificate(report.vector, i, cert) == report.objective == minimum(i)
-            assert calls == ["p", "v"]
+            assert calls == ["p"]
             checked += 1
         assert checked > 3000
 
@@ -584,7 +595,6 @@ class TestVerifyDecision:
             raise AssertionError("verify repeated its per-vector work")
 
         monkeypatch.setattr("extopt.report._materialize", refused)
-        monkeypatch.setattr("extopt.model.service_vector", refused)
         monkeypatch.setattr("extopt.model._placement", refused)
         monkeypatch.setattr("extopt.certificate._eval_placed", refused)
         calls = []

@@ -315,6 +315,27 @@ class TestChunkStream:
         entries = [str(e) for e in expand(n, placed)]
         assert "".join(chunks) == json.dumps({"vector": entries}, indent=2)
 
+    def test_chunk_count_follows_bytes_and_long_unit_tokens(self):
+        # a unit whose text fits in a block is written in blocks, and a
+        # longer one token by token: the chunks are about the bytes over a
+        # block, plus a zero stretch and a mass per token of a long unit,
+        # plus a remainder per run, never a chunk per zero
+        sep = ",\n    "  # after an entry of a vector at the top of a dict
+        for n, w in [(10**6, F(5, 2)), (10**6, F(2001, 2)), (10**6, F(666665, 2)),
+                     (10**9, F(5, 2))]:
+            written = _vec(n, solve_continuous(Instance(n, F(1), w)).placed)
+            _, runs, texts, zero = written
+            long_tokens = sum(
+                count * len(unit) for unit, count in runs
+                if sum(zeros * len(zero + sep) + len(texts[code] + sep)
+                       for zeros, code in unit) > cli._BLOCK)
+            chunks = size = 0
+            for chunk in cli._chunks({"vector": written}):
+                assert len(chunk) <= cli._BLOCK, (n, w)
+                chunks += 1
+                size += len(chunk)
+            assert chunks <= -(-size // cli._BLOCK) + 2 * long_tokens + 2 * len(runs) + 2, (n, w)
+
     def test_peak_memory_of_a_written_solve_does_not_grow_with_n(self):
         # 1.1 MB against 1.1 GB of JSON, written to the null device: the
         # peak is a few blocks either way

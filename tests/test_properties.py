@@ -17,7 +17,7 @@ from extopt.certificate import DualCertificate, check_certificate, dual_certific
 from extopt.cli import _dumps, _vec
 from extopt.continuous import minimum
 from extopt.model import (
-    _eval_placed, _materialize, _placement, as_rational, service_vector, strict_pair_sum,
+    _eval_placed, _materialize, _placement, as_rational, strict_pair_sum,
 )
 from helpers import (
     assert_placement, expand, masses_of, naive_f, naive_strict_pairs, placement, shortfall_per_mass,
@@ -245,7 +245,7 @@ def test_long_runs_score_as_the_per_mass_scan(case):
 def test_placement_of_a_vector_scores_and_writes_as_the_vector(v, x, form):
     # a dense vector converts to one placement, which materializes to the
     # validated vector and scores and writes as that vector does
-    n, vec = len(v), service_vector(v)
+    n, vec = len(v), tuple(map(as_rational, v))
     placed = _placement(v)
     assert_placement(n, placed)
     assert len(placed[1]) == len(set(map(id, placed[1])))  # each value object once
@@ -295,7 +295,7 @@ def converted_entry_by_entry(v):
     return "ok", vec
 
 
-# ints, "p/q" and decimal strings, Fractions, and entries service_vector refuses
+# ints, "p/q" and decimal strings, Fractions, and entries _placement refuses
 entry_objects = st.one_of(
     st.integers(-3, 20),
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-5, 30), st.integers(0, 9)),
@@ -321,9 +321,9 @@ def vectors_with_shared_entries(draw):
 @example(v=[F(0)] + [1.0] * 3)
 @example(v=[True])
 @example(v=[F(0), F(0), "0", "1/4", "0.25", 3])
-def test_service_vector_converts_as_entry_by_entry(v):
+def test_placement_converts_as_entry_by_entry(v):
     try:
-        outcome = "ok", service_vector(v)
+        outcome = "ok", _materialize(len(v), _placement(v))
     except ValidationError as exc:
         outcome = "error", str(exc)
     assert outcome == converted_entry_by_entry(v)
