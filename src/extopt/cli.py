@@ -1,8 +1,8 @@
 """Command-line front end: solve, verify, sweep, variance, enumerate.
 
 JSON goes to stdout, diagnostics to stderr, CSV only through --output.
-The payloads hold rationals as Fractions, written as exact "p/q" strings
-so reports round-trip.
+A report's scalars hold rationals as Fractions, written as exact "p/q"
+strings so reports round-trip.
 
 Exit codes: 0 success/CONFIRMED, 1 internal error, 2 invalid input or cap
 exceeded, 3 trivial or unstable regime, 141 stdout closed by its reader;
@@ -17,17 +17,22 @@ command's option table (`_read`), which `_build_parsers` makes from the
 parsers' own actions.  Any other command line goes to the full argparse
 parser, which also writes every help text, version and error.
 
-The JSON is written as one stream of chunks (`_chunks`): a walk of the
-envelope's dicts and lists sends each key and each scalar to its text
-through one table by exact type (a Fraction as its "p/q" string), with no
-encoder built per value, and joins the text between two vectors into one
-chunk.  A solution vector is written run by run from its placement: a
-run's unit text is repeated in blocks of about `_BLOCK` (1 MiB)
-characters by `_repeated`, and a unit longer than a block is written token
-by token, its zero stretches, like the zeros after the last run, through
-`_repeated` too.  So each vector byte is copied once into the stream and
-the memory in use stays a few blocks, whatever n.  The bytes equal
-``json.dumps(payload, indent=2)`` with each Fraction replaced by its string.
+Each report shape (three for solve, one each for verify, sweep and
+variance, one per member count for enumerate) is compiled once, on first
+use, into a form (`_form`): its keys, punctuation and constants as the
+literal text between its vectors, with a hole for each scalar.  A command
+hands `_emit` that cached form, the flat tuple of its scalars and its
+vectors, and builds no payload dict; `_fill` writes each scalar through
+one table by exact type (a Fraction as its "p/q" string), with no encoder
+built per value, into its segment's holes.  A solution vector is written
+run by run from its placement: a run's unit text is repeated in blocks of
+about `_BLOCK` (1 MiB) characters by `_repeated`, and a unit longer than a
+block is written token by token, its zero stretches, like the zeros after
+the last run, through `_repeated` too.  So each vector byte is copied once
+into the stream and the memory in use stays a few blocks, whatever n.
+The bytes equal ``json.dumps(payload, indent=2)`` with each Fraction
+replaced by its string; `_dumps`, for the tests, reads the form and the
+scalars off such a payload and takes the same fill.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from .model import (
 )
 from .model import externality_variance  # noqa: F401  wrapped here by perfbench/tracing.py
 from .oracle import verify_conjecture
-from .report import CONJECTURED, INCONCLUSIVE, PROVEN, SolveReport
+from .report import CONJECTURED, INCONCLUSIVE, PROVEN
 
 SCHEMA = "extopt/1"
 
@@ -74,8 +79,8 @@ _ZERO = Fraction(0)
 
 
 class _VectorTexts(tuple):
-    """(n, runs, texts, zero) of a length-n vector for `_chunks`: the runs of
-    its placement, the JSON text of each of its values and the text of a
+    """(n, runs, texts, zero) of a length-n vector for the writer: the runs
+    of its placement, the JSON text of each of its values and the text of a
     zero entry."""
 
 
@@ -88,39 +93,6 @@ def _vec(
     runs, values = placed
     return _VectorTexts((n, runs, [_text(form(value)) for value in values],
                          _text(form(_ZERO))))
-
-
-def _envelope(command: str, instance: dict[str, Any], result: Any, status: str) -> dict:
-    return {
-        "command": command,
-        "instance": instance,
-        "result": result,
-        "status": status,
-        "versions": {"tool": __version__, "schema": SCHEMA},
-    }
-
-
-def _instance_dict(inst: Instance) -> dict[str, Any]:
-    return {"n": inst.n, "x": inst.x, "w": inst.w}
-
-
-def _solve_result(report: SolveReport) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "vector": _vec(report.instance.n, report.placed),
-        "objective": report.objective,
-        "method": report.method,
-    }
-    if report.delta_star is not None:
-        out["delta_star"] = report.delta_star
-    # each block is the dataclass's fields in their order; `_chunks` writes
-    # the window tuple as a list
-    if report.delta_cert is not None:
-        out["delta_certificate"] = vars(report.delta_cert)
-    if report.tau_main is not None:
-        out["tau"] = vars(report.tau_main)
-    if report.tau_next is not None:
-        out["tau_next"] = vars(report.tau_next)
-    return out
 
 
 # The JSON text of a scalar by its exact type: the text `json.dumps` writes,
@@ -185,75 +157,128 @@ def _items(vector: _VectorTexts, sep: str) -> Iterator[str]:
     yield from _repeated(zero, n - _length(runs))
 
 
-def _layout(value: Any, indent: str, out: list, vectors: list) -> None:
-    """Append the JSON text of ``value`` to ``out`` as pieces; a nonempty
-    `_VectorTexts` is left as a None slot, and ``(slot, vector, inner
-    indent)`` goes to ``vectors``."""
-    scalar = _SCALAR_TEXT.get(type(value))
-    if scalar is not None:  # most values are scalars: look them up first
-        out.append(scalar(value))
+# In a skeleton, the place of a scalar (a hole) and of a nonempty vector
+_HOLE = object()
+_VECTOR = object()
+
+
+class _Form(NamedTuple):
+    """The JSON text of one report shape, compiled by `_form`: the text
+    before, between and after its vectors as %-format strings, one "%s" per
+    scalar; the index of each of these segments' first scalar, and then the
+    scalar count; and the item separator of each vector."""
+
+    segments: tuple[str, ...]
+    bounds: tuple[int, ...]
+    seps: tuple[str, ...]
+
+
+def _layout(skeleton: Any, indent: str, out: list, seps: list) -> None:
+    """Append the JSON text of ``skeleton`` to ``out`` as pieces: literal
+    text with each "%" doubled, `_HOLE` for a hole and a None slot for a
+    vector, whose item separator goes to ``seps``."""
+    if skeleton is _HOLE:
+        out.append(_HOLE)
         return
     inner = indent + "  "
-    if type(value) is _VectorTexts:
-        if not value[0]:  # n = 0
-            out.append("[]")
-            return
-        out.append("[\n" + inner)
-        vectors.append((len(out), value, inner))
-        out.append(None)
-        out.append("\n" + indent + "]")
-    elif isinstance(value, dict):
-        if not value:
+    if skeleton is _VECTOR:
+        out += ["[\n" + inner, None, "\n" + indent + "]"]
+        seps.append(",\n" + inner)
+    elif isinstance(skeleton, dict):
+        if not skeleton:
             out.append("{}")
             return
-        key_text = _SCALAR_TEXT[str]
         lead = "{\n" + inner
-        for key, item in value.items():
-            out.append(lead + key_text(key) + ": ")
-            _layout(item, inner, out, vectors)
+        for key, item in skeleton.items():
+            out.append(lead + _SCALAR_TEXT[str](key).replace("%", "%%") + ": ")
+            _layout(item, inner, out, seps)
             lead = ",\n" + inner
         out.append("\n" + indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
+    elif isinstance(skeleton, (list, tuple)):
+        if not skeleton:
             out.append("[]")
             return
         lead = "[\n" + inner
-        for item in value:
+        for item in skeleton:
             out.append(lead)
-            _layout(item, inner, out, vectors)
+            _layout(item, inner, out, seps)
             lead = ",\n" + inner
         out.append("\n" + indent + "]")
     else:
-        out.append(_text(value))
+        out.append(_text(skeleton).replace("%", "%%"))
+
+
+def _form(skeleton: Any) -> _Form:
+    """The `_Form` of ``skeleton``: the value of one report shape with
+    `_HOLE` for each scalar that a report fills in, `_VECTOR` for each
+    vector, and its constants (keys, the command name, versions) written
+    in.  `_layout` runs once per shape; each report then only fills."""
+    out: list = []
+    seps: list = []
+    _layout(skeleton, "", out, seps)
+    segments, bounds, pieces, holes = [], [0], [], 0
+    for piece in out + [None]:
+        if piece is None:
+            segments.append("".join(pieces))
+            bounds.append(holes)
+            pieces = []
+        elif piece is _HOLE:
+            pieces.append("%s")
+            holes += 1
+        else:
+            pieces.append(piece)
+    return _Form(tuple(segments), tuple(bounds), tuple(seps))
+
+
+def _fill(form: _Form, leaves: Sequence[Any], vectors: Sequence[_VectorTexts]) -> Iterator[str]:
+    """The report of shape ``form`` whose scalars, in the order of its
+    holes, are ``leaves`` and whose vectors are ``vectors``, as a stream of
+    chunks.
+
+    Each scalar's text comes from `_SCALAR_TEXT` and fills its segment by
+    one "%".  A vector is written by `_items` in chunks of at most about
+    `_BLOCK` characters; its last chunk is held back to drop the separator
+    after its last entry and is joined to the segment after it.  So each
+    vector byte is copied once into the stream, and the memory in use does
+    not grow with n.
+    """
+    segments, bounds, seps = form
+    texts = tuple([_SCALAR_TEXT.get(type(leaf), _encode)(leaf) for leaf in leaves])
+    last = segments[0] % texts[:bounds[1]]
+    for i, vector in enumerate(vectors, 1):
+        sep = seps[i - 1]
+        for chunk in _items(vector, sep):
+            yield last
+            last = chunk
+        last = last[:-len(sep)] + segments[i] % texts[bounds[i]:bounds[i + 1]]
+    yield last
+
+
+def _parts(value: Any, leaves: list, vectors: list) -> Any:
+    """The skeleton of ``value``, a payload with string keys: each scalar
+    is a hole and goes to ``leaves``, each nonempty `_VectorTexts` is a
+    vector and goes to ``vectors``, in the order they are written."""
+    if type(value) is _VectorTexts:
+        if not value[0]:  # n = 0
+            return []
+        vectors.append(value)
+        return _VECTOR
+    if isinstance(value, dict):
+        return {key: _parts(item, leaves, vectors) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_parts(item, leaves, vectors) for item in value]
+    leaves.append(value)
+    return _HOLE
 
 
 def _chunks(value: Any) -> Iterator[str]:
     """The bytes of ``json.dumps(value, indent=2)`` as a stream of chunks,
     for a payload with string keys, where a Fraction stands for its "p/q"
-    string and a `_VectorTexts` for the list of its entries.
-
-    `_layout` walks the dicts and lists, and `_text` writes every key and
-    scalar; the text between two vectors is joined into one chunk.  A
-    vector is written by `_items` in chunks of at most about `_BLOCK`
-    characters, and its last chunk is held back to drop the separator
-    after its last entry.  So each vector byte is copied once into the
-    stream, and the memory in use does not grow with n.
-    """
-    out: list = []
+    string and a `_VectorTexts` for the list of its entries: the form and
+    the leaves are read off ``value``, then filled as a command's are."""
+    leaves: list = []
     vectors: list = []
-    _layout(value, "", out, vectors)
-    start = 0
-    for slot, vector, inner in vectors:
-        yield "".join(out[start:slot])
-        sep = ",\n" + inner
-        last = ""
-        for chunk in _items(vector, sep):
-            if last:
-                yield last
-            last = chunk
-        yield last[:-len(sep)]
-        start = slot + 1
-    yield "".join(out[start:])
+    return _fill(_form(_parts(value, leaves, vectors)), leaves, vectors)
 
 
 def _dumps(value: Any) -> str:
@@ -265,10 +290,12 @@ class _StdoutClosed(Exception):
     """The reader of stdout closed it while a report was written."""
 
 
-def _emit(payload: dict) -> None:
+def _emit(form: _Form, leaves: Sequence[Any], vectors: Sequence[_VectorTexts]) -> None:
+    """Write the report of shape ``form`` with ``leaves`` and ``vectors``
+    (see `_fill`) to stdout."""
     stdout = sys.stdout
     try:
-        stdout.writelines(_chunks(payload))
+        stdout.writelines(_fill(form, leaves, vectors))
         stdout.write("\n")
         # a reader that closed the pipe shows here, not at interpreter exit
         stdout.flush()
@@ -284,17 +311,101 @@ def _emit(payload: dict) -> None:
         raise _StdoutClosed from None
 
 
+# The skeletons of the report shapes, each compiled by `_form` on its first
+# use.  Every report is the envelope of `_report`, so the instance's scalars
+# fill its first holes and the status its last.
+_INSTANCE = {"n": _HOLE, "x": _HOLE, "w": _HOLE}
+_TAU = {"tau_u": _HOLE, "tau_l": _HOLE}
+# the fields of a `DeltaCertificate` in their order, the window a pair
+_DELTA_CERTIFICATE = {"delta1": _HOLE, "delta2": _HOLE, "delta_star": _HOLE,
+                      "a_delta1": _HOLE, "a_delta2": _HOLE, "window": [_HOLE, _HOLE],
+                      "used_fallback": _HOLE}
+
+
+def _report(command: str, instance: dict, result: dict) -> dict:
+    return {
+        "command": command,
+        "instance": instance,
+        "result": result,
+        "status": _HOLE,
+        "versions": {"tool": __version__, "schema": SCHEMA},
+    }
+
+
+@functools.cache
+def _solve_form(shape: str) -> _Form:
+    """The form of a solve of one shape: "continuous", or the combinatorial
+    "gap-profile" (m >= 1) or "middle-point" (m = 0)."""
+    blocks = {
+        "continuous": {"tau": _TAU, "tau_next": _TAU},
+        "gap-profile": {"delta_star": _HOLE, "delta_certificate": _DELTA_CERTIFICATE},
+        "middle-point": {"delta_star": _HOLE},
+    }[shape]
+    return _form(_report("solve", _INSTANCE, {"vector": _VECTOR, "objective": _HOLE,
+                                              "method": _HOLE, **blocks}))
+
+
+@functools.cache
+def _verify_form() -> _Form:
+    return _form(_report("verify", _INSTANCE, {
+        "constructed_objective": _HOLE,
+        "oracle_objective": _HOLE,
+        "gap": _HOLE,
+        "converged": _HOLE,
+        "oracle_minimizer": _VECTOR,
+        "certificate": {
+            "mu": _HOLE,
+            "lower_bound": _HOLE,
+            "tight_intervals": _HOLE,
+            "alpha_one_intervals": _HOLE,
+            "unsaturated_intervals": _HOLE,
+        },
+    }))
+
+
+@functools.cache
+def _sweep_form() -> _Form:
+    return _form(_report("sweep", _INSTANCE, {"rows": _HOLE, "output": _HOLE}))
+
+
+@functools.cache
+def _variance_form() -> _Form:
+    return _form(_report(
+        "variance",
+        {**_INSTANCE, "queue": {"lambda": _HOLE, "mu1": _HOLE, "mu2": _HOLE}},
+        {"mean": _HOLE, "variance_min": _HOLE, "variance_sup": _HOLE,
+         "minimizing_vector": _VECTOR, "supremum_vector": _VECTOR},
+    ))
+
+
+@functools.cache
+def _enumerate_form(members: int) -> _Form:
+    return _form(_report("enumerate", _INSTANCE, {"delta": _HOLE, "count": _HOLE,
+                                                  "members": [_VECTOR] * members}))
+
+
 def _make_instance(args: argparse.Namespace) -> Instance:
     return Instance(n=args.n, x=as_rational(args.x), w=as_rational(args.w))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _make_instance(args)
-    if args.domain == "combinatorial":
-        report = solve_combinatorial(inst)
-    else:
+    if args.domain == "continuous":
         report = solve_continuous(inst)
-    _emit(_envelope("solve", _instance_dict(inst), _solve_result(report), report.status))
+        t1, t2 = report.tau_main, report.tau_next
+        shape, blocks = "continuous", (t1.tau_u, t1.tau_l, t2.tau_u, t2.tau_l)
+    else:
+        report = solve_combinatorial(inst)
+        cert = report.delta_cert
+        if cert is None:
+            shape, blocks = "middle-point", (report.delta_star,)
+        else:
+            shape, blocks = "gap-profile", (
+                report.delta_star, cert.delta1, cert.delta2, cert.delta_star,
+                cert.a_delta1, cert.a_delta2, *cert.window, cert.used_fallback)
+    _emit(_solve_form(shape),
+          (inst.n, inst.x, inst.w, report.objective, report.method, *blocks, report.status),
+          (_vec(inst.n, report.placed),))
     return 0
 
 
@@ -302,22 +413,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _make_instance(args)
     report = verify_conjecture(inst)
     cert = report.certificate
-    result: dict[str, Any] = {
-        "constructed_objective": report.constructed_objective,
-        "oracle_objective": report.oracle_objective,
-        "gap": report.gap,
-        "converged": report.converged,
-        "oracle_minimizer": _vec(inst.n, report.construction.placed, float),
-        "certificate": {
-            "mu": cert.mu,
-            "lower_bound": report.oracle_value,
-            "tight_intervals": cert.tight_count,
-            "alpha_one_intervals": cert.unsaturated_count
-            + sum(hi - lo + 1 for lo, hi, _ in cert.runs),
-            "unsaturated_intervals": cert.unsaturated_count,
-        },
-    }
-    _emit(_envelope("verify", _instance_dict(inst), result, report.status))
+    alpha_one = cert.unsaturated_count + sum(hi - lo + 1 for lo, hi, _ in cert.runs)
+    _emit(_verify_form(),
+          (inst.n, inst.x, inst.w, report.constructed_objective, report.oracle_objective,
+           report.gap, report.converged, cert.mu, report.oracle_value, cert.tight_count,
+           alpha_one, cert.unsaturated_count, report.status),
+          (_vec(inst.n, report.construction.placed, float),))
     return 0
 
 
@@ -405,12 +506,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         status = INCONCLUSIVE
     else:
         status = PROVEN if statuses <= {PROVEN} else CONJECTURED
-    spec = {
-        "n": f"{args.n_from}..{args.n_to}",
-        "x": args.x,
-        "w": f"{args.w_from}..{args.w_to} step {args.w_step}",
-    }
-    _emit(_envelope("sweep", spec, {"rows": len(rows), "output": args.output}, status))
+    _emit(_sweep_form(), (f"{args.n_from}..{args.n_to}", args.x,
+                          f"{args.w_from}..{args.w_to} step {args.w_step}",
+                          len(rows), args.output, status), ())
     return 0
 
 
@@ -423,17 +521,11 @@ def _cmd_variance(args: argparse.Namespace) -> int:
     cont = solve_continuous(inst)
     # the solve has scored its objective and checked it against the chord
     variance_min, variance_sup = variance_range(q, inst, cont.objective)
-    result = {
-        "mean": externality_mean(q, inst.n, inst.x),
-        "variance_min": variance_min,
-        "variance_sup": variance_sup,
-        "minimizing_vector": _vec(inst.n, cont.placed),
-        # the placement of model.supremum_vector(inst)
-        "supremum_vector": _vec(inst.n, (((((0, 0),), 1),), (inst.w,))),
-    }
-    instance = _instance_dict(inst)
-    instance["queue"] = {"lambda": q.lam, "mu1": q.mu1, "mu2": q.mu2}
-    _emit(_envelope("variance", instance, result, cont.status))
+    _emit(_variance_form(),
+          (inst.n, inst.x, inst.w, q.lam, q.mu1, q.mu2, externality_mean(q, inst.n, inst.x),
+           variance_min, variance_sup, cont.status),
+          # the supremum vector is the placement of model.supremum_vector(inst)
+          (_vec(inst.n, cont.placed), _vec(inst.n, (((((0, 0),), 1),), (inst.w,)))))
     return 0
 
 
@@ -443,13 +535,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     delta = args.delta if args.delta is not None else comb.delta_star
     cap = args.cap if args.cap is not None else 20
     members = enumerate_gamma(inst, delta, cap)
-    result = {
-        "delta": delta,
-        "count": len(members),
-        "members": [_vec(inst.n, _placement(member)) for member in members],
-    }
     status = PROVEN if delta == comb.delta_star else INCONCLUSIVE
-    _emit(_envelope("enumerate", _instance_dict(inst), result, status))
+    _emit(_enumerate_form(len(members)), (inst.n, inst.x, inst.w, delta, len(members), status),
+          [_vec(inst.n, _placement(member)) for member in members])
     return 0
 
 

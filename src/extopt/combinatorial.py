@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import ConstructionError, SizeCapError, ValidationError
 from .model import (
-    Instance, Placement, _eval_placed, _integer, _materialize, _packed,
+    Instance, Placement, _integer, _materialize, _packed, _shortfall,
 )
 from .model import eval_f  # noqa: F401  perfbench/tracing.py wraps it under this module
 from .report import PROVEN, SolveReport
@@ -285,8 +285,18 @@ def enumerate_gamma(inst: Instance, delta: int, cap: int = 20) -> list[tuple[Fra
 
 
 def _scored(inst: Instance, placed: Placement, expected: Fraction) -> Fraction:
-    """The objective of ``placed``, checked against its closed form ``expected``."""
-    objective = _eval_placed(inst.n, placed, inst.x)
+    """The objective of ``placed``, checked against its closed form ``expected``.
+
+    The placement's values are the instance's own x, r and y objects, so
+    it is scored on the instance's integers (`Instance._ints`), each value
+    looked up by identity: at r = x/2, y and r are equal values held as
+    distinct objects, and each finds its own, equal, integer.
+    """
+    denom, xs, _, rs, ys = inst._ints
+    scaled = {id(inst.x): xs, id(inst.r): rs, id(inst.y): ys}
+    runs, values = placed
+    objective = Fraction(_shortfall(inst.n, runs, [scaled[id(value)] for value in values], xs),
+                         denom)
     if objective != expected:
         raise ConstructionError(
             f"built placement scores {objective}, the closed form says {expected}"

@@ -495,6 +495,60 @@ class TestEnumerate:
         assert "delta must be an integer in [1, 8], got 0" in err
 
 
+
+# one command line per report shape: solve continuous (r > 0, r = 0) and
+# combinatorial (m >= 1, m = 0), verify, variance (r > 0, r = 0), sweep
+# without and with the oracle, and enumerate with 0, 1 and 12 members
+SHAPES = {
+    "solve-continuous": ["solve", "--domain", "continuous", "-n", "7", "-x", "1", "-w", "2.2"],
+    "solve-continuous-r0": ["solve", "--domain", "continuous", "-n", "7", "-x", "1", "-w", "2"],
+    "solve-combinatorial": ["solve", "--domain", "combinatorial", "-n", "7", "-x", "1",
+                            "-w", "2.2"],
+    "solve-combinatorial-m0": ["solve", "--domain", "combinatorial", "-n", "7", "-x", "1",
+                               "-w", "1/2"],
+    "verify": ["verify", "-n", "9", "-x", "1", "-w", "2.5"],
+    "variance": ["variance", "-n", "7", "-x", "1", "-w", "2.2",
+                 "--lambda", "1/2", "--mu1", "1", "--mu2", "2"],
+    "variance-r0": ["variance", "-n", "9", "-x", "1", "-w", "3",
+                    "--lambda", "1/2", "--mu1", "1", "--mu2", "2"],
+    "sweep": ["sweep", "--n-from", "7", "--n-to", "8", "-x", "1", "--w-from", "0.5",
+              "--w-to", "3", "--w-step", "0.5"],
+    "sweep-oracle": ["sweep", "--n-from", "7", "--n-to", "8", "-x", "1", "--w-from", "0.5",
+                     "--w-to", "3", "--w-step", "0.5", "--with-oracle"],
+    "enumerate-none": ["enumerate", "-n", "7", "-x", "1", "-w", "2.2", "--delta", "1"],
+    "enumerate-one": ["enumerate", "-n", "7", "-x", "1", "-w", "1/2"],
+    "enumerate-several": ["enumerate", "-n", "7", "-x", "1", "-w", "2.2"],
+}
+
+
+def shape_line(name, tmp_path):
+    argv = SHAPES[name]
+    return argv + ["--output", str(tmp_path / "table.csv")] if argv[0] == "sweep" else argv
+
+
+class TestReportShapes:
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_each_shape_writes_the_indented_encoder_bytes(self, capsys, tmp_path, name):
+        code, out, err = run_cli(capsys, *shape_line(name, tmp_path))
+        assert code == 0, err
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+        if name.startswith("enumerate"):
+            count = {"none": 0, "one": 1, "several": 12}[name.split("-")[1]]
+            assert len(json.loads(out)["result"]["members"]) == count
+
+    def test_each_shape_is_compiled_once(self, capsys, tmp_path, monkeypatch):
+        # a warm-up run per shape compiles its form; after it no command
+        # lays out its report again, and every byte stays the same
+        first = {name: run_cli(capsys, *shape_line(name, tmp_path)) for name in SHAPES}
+
+        def refused(*args):
+            raise AssertionError("a report was laid out again")
+
+        monkeypatch.setattr(cli, "_layout", refused)
+        for name in SHAPES:
+            code, out, err = run_cli(capsys, *shape_line(name, tmp_path))
+            assert (code, out, err) == first[name] and code == 0, name
+
 class TestInternalError:
     def test_unexpected_exception_exits_1(self, capsys, monkeypatch):
         def broken(inst):

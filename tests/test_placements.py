@@ -17,9 +17,9 @@ import pytest
 from extopt import ConstructionError, Instance, eval_f, solve_combinatorial, solve_continuous
 from extopt import cli
 from extopt.cli import _dumps, _vec, main
-from extopt.combinatorial import _gamma_placed, a_value, build_gamma_member
+from extopt.combinatorial import _gamma_placed, _scored, a_value, build_gamma_member
 from extopt.continuous import build_duo, minimum
-from extopt.model import _materialize, _prefix, as_rational
+from extopt.model import _eval_placed, _materialize, _prefix, as_rational
 from helpers import (
     assert_placement, duo_layers, expand, gamma_member, mass_count, naive_f, placement,
     twelfths_grid,
@@ -54,6 +54,28 @@ class TestDuoPlacement:
             halves += i.r == i.x / 2
         assert collided > 1000 and halves > 100
 
+
+
+class TestScored:
+    def test_scores_on_the_instance_integers_as_eval_placed(self):
+        # `_scored` looks each placement value up in `Instance._ints`, where
+        # `_eval_placed` rescales the values themselves: both domains, the
+        # twelfths grid (r = x/2 included) and 3,000 seeded x = p/q
+        rng = random.Random(17)
+        seeded = []
+        while len(seeded) < 3000:
+            x = F(rng.randint(1, 40), rng.randint(2, 13))
+            if x.denominator > 1:
+                n = rng.randint(1, 60)
+                seeded.append(Instance(n, x, n * x * F(rng.randint(1, 999), 1000)))
+        halves = 0
+        for i in [*(Instance(n, x, w) for n, x, w in twelfths_grid()), *seeded]:
+            halves += i.r == i.y
+            for solve in (solve_continuous, solve_combinatorial):
+                placed = solve(i).placed
+                objective = _eval_placed(i.n, placed, i.x)
+                assert _scored(i, placed, objective) == objective, i
+        assert halves > 100
 
 def combinatorial_grids():
     # the instances that test_combinatorial builds structured members on

@@ -14,7 +14,7 @@ from extopt import (
     Instance, TrivialRegimeError, ValidationError, eval_f, solve_combinatorial, solve_continuous,
 )
 from extopt.certificate import DualCertificate, check_certificate, dual_certificate
-from extopt.cli import _dumps, _vec
+from extopt.cli import _HOLE, _VECTOR, _dumps, _fill, _form, _vec
 from extopt.continuous import minimum
 from extopt.model import (
     _eval_placed, _materialize, _placement, as_rational, strict_pair_sum,
@@ -412,6 +412,11 @@ TWO_RUNS = (11, (((((1, 0), (0, 1)), 2), (((2, 1),), 1)), (F(1, 2), F(-3, 7))), 
 @example(payload=Level.LOW, case=TWO_RUNS, form=float)
 @example(payload={"é\x00\n\x1f\u2028😀\"\\": "é\t€", "nan": [float("nan"), {"inf": -math.inf}]},
          case=TWO_RUNS, form=str)
+# a "%" in a key or a string is literal text, not a format directive
+@example(payload={"%s": "%s", "100%": "100%", "%%": "%%", "%(x)s": "%(x)s"},
+         case=TWO_RUNS, form=str)
+@example(payload=["%s", {"%(x)s": ["100%", "%%"]}, "%(x)s"], case=TWO_RUNS, form=float)
+@example(payload="100%", case=TWO_RUNS, form=str)
 def test_writer_matches_the_indented_encoder(payload, case, form):
     assert _dumps(payload) == json.dumps(payload, indent=2)
     n, placed, _ = case
@@ -423,6 +428,15 @@ def test_writer_matches_the_indented_encoder(payload, case, form):
              "members": [entries, [], entries]}
     assert _dumps(written) == json.dumps(plain, indent=2)
 
+
+
+def test_a_form_writes_its_constants_as_literal_text():
+    # in a command's skeleton the keys and constants are written into the
+    # form, so a "%" in them must not act on the holes' values
+    skeleton = {"%s": "100%", "%(x)s": [_HOLE, "%%", _VECTOR], "hole": _HOLE, "%d": {}}
+    written = "".join(_fill(_form(skeleton), ["%d", F(1, 3)], [_vec(3, placement([(1, F(1, 2))]))]))
+    plain = {"%s": "100%", "%(x)s": ["%d", "%%", ["0", "1/2", "0"]], "hole": "1/3", "%d": {}}
+    assert written == json.dumps(plain, indent=2)
 
 def _plain(value):
     """``value`` with each Fraction replaced by its string, as `_dumps` writes it."""
